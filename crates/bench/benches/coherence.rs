@@ -1,10 +1,7 @@
-//! Criterion benchmarks of the mask-coherence fast paths (ISSUE 10):
-//! run-length tallying against the per-record scalar fold, and convergent
-//! burst issue against per-plan arbitration on an ALU-heavy loop.
+//! Criterion benchmarks of the mask-coherence fast path: run-length
+//! tallying against the per-record scalar fold.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use iwc_isa::{CondOp, DataType, FlagReg, KernelBuilder, MemSpace, Operand, Predicate};
-use iwc_sim::{simulate, BurstMode, GpuConfig, Launch, MemoryImage};
 use iwc_trace::{analyze, corpus, for_each_run, SliceSource, Trace};
 
 /// Per-record scalar reference: what every analyzer did before runs.
@@ -35,58 +32,5 @@ fn bench_tally_scalar_vs_rle(c: &mut Criterion) {
     g.finish();
 }
 
-/// Single-thread convergent loop whose 24-instruction hazard-free ALU
-/// body becomes I$-resident after one iteration — the burst fast path's
-/// target shape (mirrors `crates/sim/tests/burst_equivalence.rs`).
-fn convergent_loop(iters: u32) -> (Launch, MemoryImage) {
-    let mut img = MemoryImage::new(1 << 16);
-    let n = 16u32;
-    let out = img.alloc(n * 4);
-
-    let mut b = KernelBuilder::new("burst_loop", 16);
-    b.mov(Operand::rud(6), Operand::imm_ud(0));
-    b.do_();
-    for k in 0..24u32 {
-        b.mov(
-            Operand::rf((20 + 2 * k) as u8),
-            Operand::imm_f(0.5 + k as f32),
-        );
-    }
-    b.add(Operand::rud(6), Operand::rud(6), Operand::imm_ud(1));
-    b.cmp(
-        CondOp::Lt,
-        FlagReg::F0,
-        Operand::rud(6),
-        Operand::imm_ud(iters),
-    );
-    b.while_(Predicate::normal(FlagReg::F0));
-    b.mad(
-        Operand::rud(10),
-        Operand::rud(1),
-        Operand::imm_ud(4),
-        Operand::scalar(3, 0, DataType::Ud),
-    );
-    b.store(MemSpace::Global, Operand::rud(10), Operand::rf(20));
-    let program = b.finish().expect("valid kernel");
-    let launch = Launch::new(program, n, 16).with_args(&[out]);
-    (launch, img)
-}
-
-fn bench_burst_replay(c: &mut Criterion) {
-    let (launch, img) = convergent_loop(400);
-    let mut g = c.benchmark_group("coherence/burst_loop_400");
-    g.sample_size(20);
-    for (label, mode) in [("on", BurstMode::On), ("off", BurstMode::Off)] {
-        let cfg = GpuConfig::paper_default().with_burst(mode);
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                let mut run_img = img.clone();
-                simulate(black_box(&cfg), black_box(&launch), &mut run_img).expect("runs")
-            })
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_tally_scalar_vs_rle, bench_burst_replay);
+criterion_group!(benches, bench_tally_scalar_vs_rle);
 criterion_main!(benches);

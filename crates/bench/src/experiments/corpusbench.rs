@@ -119,8 +119,10 @@ fn render_report(reports: &[TraceReport]) -> String {
     out
 }
 
-/// Run lines carried over from the previous report; same-shaped runs
-/// (threads and cells both equal) are superseded by the current run.
+/// Run lines carried over from the previous report, in their recorded
+/// order; same-shaped runs (threads and cells both equal) are superseded
+/// by the current run, which the caller appends last for `iwc perfgate`
+/// to judge.
 fn prior_runs(text: &str, current: &RunRecord) -> Vec<RunRecord> {
     let mut runs: Vec<RunRecord> = text.lines().filter_map(parse_run_line).collect();
     runs.retain(|r| (r.threads, r.cells) != (current.threads, current.cells));
@@ -250,7 +252,6 @@ pub(crate) fn run(args: &[String]) -> Outcome {
         &record,
     );
     runs.push(record);
-    runs.sort_by_key(|r| (r.cells, r.threads));
 
     let snap = telemetry.snapshot();
     let hits = snap.counter("corpus/results_cache/hits").unwrap_or(0);

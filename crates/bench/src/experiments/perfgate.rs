@@ -5,11 +5,12 @@
 //! `{ threads, wall_ms, cells }` line per recorded sweep, carried forward
 //! across regenerations — so the repo already stores a per-machine perf
 //! trajectory. This gate turns that trajectory into a pass/fail signal:
-//! for each report it picks the *current* run (the largest sweep recorded
-//! at the report's own thread count), derives its rate in cells per
-//! second, takes the **median of the remaining runs** (up to the last
-//! [`BASELINE_POOL`]) as the baseline, and fails when the current rate
-//! falls below `baseline × (1 − tolerance)`.
+//! for each report it picks the *current* run (the last line recorded at
+//! the report's own thread count — every writer appends the run it just
+//! measured), derives its rate in cells per second, takes the **median of
+//! the remaining runs** (up to the last [`BASELINE_POOL`]) as the
+//! baseline, and fails when the current rate falls below
+//! `baseline × (1 − tolerance)`.
 //!
 //! The median-of-pool baseline makes the gate robust to a single noisy
 //! historical run, and the tolerance band (default ±20%,
@@ -125,7 +126,7 @@ fn median(xs: &[f64]) -> Option<f64> {
     })
 }
 
-/// Judges one report text: current = the largest sweep at the header
+/// Judges one report text: current = the last run line at the header
 /// thread count (falling back to the last run line), baseline = median of
 /// the remaining runs' rates, pool capped at [`BASELINE_POOL`].
 fn evaluate(report: &str, text: &str, tol: f64) -> Option<Verdict> {
@@ -133,8 +134,7 @@ fn evaluate(report: &str, text: &str, tol: f64) -> Option<Verdict> {
     let header = header_threads(text);
     let current = runs
         .iter()
-        .filter(|r| header.is_none_or(|t| r.threads == t))
-        .max_by_key(|r| r.cells)
+        .rfind(|r| header.is_none_or(|t| r.threads == t))
         .or(runs.last())
         .copied()?;
     let pool: Vec<f64> = runs
@@ -275,10 +275,10 @@ mod tests {
 }"#;
 
     #[test]
-    fn evaluate_picks_current_by_header_threads_and_cells() {
+    fn evaluate_judges_the_last_run_at_header_threads() {
         let v = evaluate("BENCH_sim.json", REPORT, DEFAULT_TOL).expect("report gates");
-        // Current = the 1-thread 600-cell run (header says threads: 1),
-        // not the faster 4-thread sweep.
+        // Current = the last 1-thread run (header says threads: 1), not
+        // the faster 4-thread sweep.
         assert_eq!(v.current.threads, 1);
         assert_eq!(v.current.cells, 600);
         assert!((v.rate - 80.0).abs() < 1e-9, "{}", v.rate);
@@ -291,6 +291,20 @@ mod tests {
         // A wide enough band passes the same trajectory.
         let wide = evaluate("BENCH_sim.json", REPORT, 0.6).unwrap();
         assert!(wide.pass());
+    }
+
+    #[test]
+    fn evaluate_judges_the_run_just_written_not_the_largest() {
+        // A stale line with more cells must not shadow the newest run.
+        let text = "{\n  \"threads\": 1,\n  \"runs\": [\n    \
+                    { \"threads\": 1, \"wall_ms\": 1000.00, \"cells\": 600 },\n    \
+                    { \"threads\": 1, \"wall_ms\": 1000.00, \"cells\": 200 },\n    \
+                    { \"threads\": 1, \"wall_ms\": 4000.00, \"cells\": 200 }\n  ]\n}";
+        let v = evaluate("BENCH_sim.json", text, DEFAULT_TOL).expect("gates");
+        assert_eq!((v.current.wall_ms, v.current.cells), (4000.0, 200));
+        assert!((v.rate - 50.0).abs() < 1e-9, "{}", v.rate);
+        assert_eq!(v.baseline, Some(400.0), "median of 600 and 200 cells/s");
+        assert!(!v.pass(), "a 4x slowdown of the newest run must fail");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::cache::SessionCache;
 use iwc_compaction::{EngineId, EngineRegistry};
-use iwc_sim::{timeline, DecodedProgram, Gpu, GpuConfig, SchedMode};
+use iwc_sim::{timeline, DecodedProgram, Gpu, GpuConfig};
 use iwc_telemetry::json::{escape, parse, Json};
 use iwc_telemetry::TelemetrySnapshot;
 use iwc_trace::analyze::EngineReport;
@@ -60,8 +60,6 @@ pub struct ConfigOverrides {
     pub dc_bandwidth: Option<f64>,
     /// `with_perfect_l3`.
     pub perfect_l3: Option<bool>,
-    /// `with_sched`: `"wheel"` or `"tick"`.
-    pub sched: Option<SchedMode>,
 }
 
 impl ConfigOverrides {
@@ -75,9 +73,6 @@ impl ConfigOverrides {
         }
         if let Some(p) = self.perfect_l3 {
             cfg = cfg.with_perfect_l3(p);
-        }
-        if let Some(s) = self.sched {
-            cfg = cfg.with_sched(s);
         }
         cfg
     }
@@ -211,6 +206,11 @@ fn split_pack_spec(spec: &str) -> Result<(&str, &str), JobError> {
     Ok((stem, name))
 }
 
+/// Lowest accepted `"dc_bandwidth"`, in lines per cycle: a thousand
+/// cycles per line is far outside the paper's DC1/DC2 study, and values
+/// near zero push the data cluster's timing past any representable cycle.
+pub const MIN_DC_BANDWIDTH: f64 = 1.0 / 1024.0;
+
 fn parse_overrides(cfg: Option<&Json>) -> Result<ConfigOverrides, JobError> {
     let mut out = ConfigOverrides::default();
     let Some(cfg) = cfg else { return Ok(out) };
@@ -228,11 +228,11 @@ fn parse_overrides(cfg: Option<&Json>) -> Result<ConfigOverrides, JobError> {
     }
     if let Some(n) = cfg.get("dc_bandwidth") {
         match n.as_num() {
-            Some(v) if v > 0.0 => out.dc_bandwidth = Some(v),
+            Some(v) if v >= MIN_DC_BANDWIDTH && v.is_finite() => out.dc_bandwidth = Some(v),
             _ => {
-                return Err(JobError::BadRequest(
-                    "\"dc_bandwidth\" must be a positive number".into(),
-                ))
+                return Err(JobError::BadRequest(format!(
+                    "\"dc_bandwidth\" must be a finite number of lines per cycle, at least {MIN_DC_BANDWIDTH}"
+                )))
             }
         }
     }
@@ -245,17 +245,6 @@ fn parse_overrides(cfg: Option<&Json>) -> Result<ConfigOverrides, JobError> {
                 ))
             }
         }
-    }
-    if let Some(s) = cfg.get("sched") {
-        out.sched = Some(match s.as_str() {
-            Some("wheel") => SchedMode::Wheel,
-            Some("tick") => SchedMode::Tick,
-            _ => {
-                return Err(JobError::BadRequest(
-                    "\"sched\" must be \"wheel\" or \"tick\"".into(),
-                ))
-            }
-        });
     }
     Ok(out)
 }
@@ -627,7 +616,27 @@ mod tests {
         assert_eq!(req.scale, 2);
         assert_eq!(req.overrides.issue_per_cycle, Some(2));
         assert_eq!(req.overrides.perfect_l3, Some(true));
-        assert!(matches!(req.overrides.sched, Some(SchedMode::Tick)));
+        // "sched" names a retired scheduler knob: ignored like any other
+        // unknown config key.
+        assert_eq!(req.overrides.dc_bandwidth, None);
+    }
+
+    #[test]
+    fn dc_bandwidth_has_a_floor() {
+        let parse = |bw: &str| {
+            JobRequest::from_json(&format!(
+                "{{\"workload\":\"VA\",\"config\":{{\"dc_bandwidth\":{bw}}}}}"
+            ))
+        };
+        for bad in ["1e-300", "0.0009", "0", "-1", "\"2\""] {
+            let err = parse(bad).expect_err(bad);
+            assert!(matches!(err, JobError::BadRequest(_)), "{bad}: {err:?}");
+            assert_eq!(err.status(), 400, "{bad}");
+        }
+        for good in ["0.0009765625", "1", "2.0"] {
+            let req = parse(good).expect(good);
+            assert_eq!(req.overrides.dc_bandwidth, Some(good.parse().unwrap()));
+        }
     }
 
     #[test]

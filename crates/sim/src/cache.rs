@@ -6,7 +6,9 @@ use crate::config::CacheConfig;
 /// [`MemoryImage`](crate::memimg::MemoryImage)).
 #[derive(Clone, Debug)]
 pub struct Cache {
-    sets: Vec<Vec<Option<Line>>>,
+    /// Every set's ways, set-major, in one flat vector of 16-byte lines.
+    lines: Vec<Line>,
+    ways: usize,
     set_mask: u64,
     stamp: u64,
     accesses: u64,
@@ -15,9 +17,16 @@ pub struct Cache {
 
 #[derive(Clone, Copy, Debug)]
 struct Line {
+    /// [`INVALID`] for an empty way.
     tag: u64,
+    /// Stamp of the latest access; 0 for an empty way, below every real
+    /// stamp, so LRU victim choice prefers the first empty way.
     last_use: u64,
 }
+
+/// Tag of an empty way. Line addresses are byte addresses over the line
+/// size, so no real tag reaches it.
+const INVALID: u64 = u64::MAX;
 
 impl Cache {
     /// Builds a cache from its configuration and the line size.
@@ -27,8 +36,13 @@ impl Cache {
             sets.is_power_of_two(),
             "set count {sets} must be a power of two"
         );
+        let empty = Line {
+            tag: INVALID,
+            last_use: 0,
+        };
         Self {
-            sets: vec![vec![None; cfg.ways as usize]; sets as usize],
+            lines: vec![empty; sets as usize * cfg.ways as usize],
+            ways: cfg.ways as usize,
             set_mask: u64::from(sets) - 1,
             stamp: 0,
             accesses: 0,
@@ -43,26 +57,24 @@ impl Cache {
         self.accesses += 1;
         let set = (line_addr & self.set_mask) as usize;
         let tag = line_addr >> self.set_mask.count_ones();
-        let ways = &mut self.sets[set];
-        if let Some(line) = ways.iter_mut().flatten().find(|l| l.tag == tag) {
-            line.last_use = self.stamp;
-            self.hits += 1;
-            return true;
+        let ways = &mut self.lines[set * self.ways..(set + 1) * self.ways];
+        // One pass: a hit, else the first way with the oldest stamp (the
+        // first empty way, while one is left).
+        let (mut victim, mut oldest) = (0, u64::MAX);
+        for (i, line) in ways.iter_mut().enumerate() {
+            if line.tag == tag {
+                line.last_use = self.stamp;
+                self.hits += 1;
+                return true;
+            }
+            if line.last_use < oldest {
+                (victim, oldest) = (i, line.last_use);
+            }
         }
-        // Miss: fill into an invalid way or evict LRU.
-        let victim = match ways.iter().position(Option::is_none) {
-            Some(i) => i,
-            None => ways
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.map(|l| l.last_use).unwrap_or(0))
-                .map(|(i, _)| i)
-                .expect("non-empty way list"),
-        };
-        ways[victim] = Some(Line {
+        ways[victim] = Line {
             tag,
             last_use: self.stamp,
-        });
+        };
         false
     }
 
@@ -150,7 +162,8 @@ mod tests {
         use crate::config::GpuConfig;
         let cfg = GpuConfig::paper_default().mem.l3;
         let c = Cache::new(cfg, 64);
-        assert_eq!(c.sets.len(), 32);
-        assert_eq!(c.sets[0].len(), 64);
+        assert_eq!(c.set_mask + 1, 32);
+        assert_eq!(c.ways, 64);
+        assert_eq!(c.lines.len(), 32 * 64);
     }
 }

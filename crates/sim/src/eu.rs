@@ -12,12 +12,15 @@ use crate::config::GpuConfig;
 use crate::exec::{exec_mask_of, execute_instruction, Effect, ThreadCtx};
 use crate::memimg::MemoryImage;
 use crate::memsys::MemSystem;
-use crate::plan::{execute_plan, DecodedProgram, LaneScratch, MicroPlan, PlanEffect};
+use crate::plan::{
+    execute_plan, grf_operand_count, reg_range, DecodedProgram, LaneScratch, MicroPlan, PlanEffect,
+};
 use iwc_compaction::{CompactionEngine, CompactionTally};
 use iwc_isa::insn::{MemSpace, Opcode, Pipe};
 use iwc_isa::mask::ExecMask;
 use iwc_isa::program::Program;
 use iwc_isa::reg::GRF_BYTES;
+use iwc_isa::types::DataType;
 use iwc_telemetry::Instrument;
 use serde::{Deserialize, Serialize};
 
@@ -80,13 +83,6 @@ pub struct HwThread {
     /// Index of the workgroup's SLM image, resolved at placement time so
     /// the arbiter never does a per-thread map lookup.
     pub slm_slot: usize,
-    /// The thread may not issue before this time (fence, barrier release).
-    pub stalled_until: u64,
-    /// What set `stalled_until` (fence vs. instruction fetch), so the stall
-    /// attributor can charge the wait to the right cause.
-    stalled_src: StallSrc,
-    /// Waiting at a workgroup barrier.
-    pub at_barrier: bool,
     /// Per-GRF-register writeback completion times.
     reg_busy: Box<[u64]>,
     /// Bit `r` set while register `r`'s pending writeback comes from a
@@ -94,10 +90,6 @@ pub struct HwThread {
     reg_from_mem: u128,
     /// Per-flag-register writeback completion times.
     flag_busy: [u64; 2],
-    /// High-water mark over every `reg_busy`/`flag_busy` entry: when it is
-    /// at or before `now`, every scoreboard mark has expired and the
-    /// dependence scan can be skipped wholesale.
-    busy_max: u64,
     /// Completion time of the latest outstanding memory access.
     pub last_mem_done: u64,
 }
@@ -111,31 +103,10 @@ impl HwThread {
             wg,
             wg_thread,
             slm_slot,
-            stalled_until: 0,
-            stalled_src: StallSrc::FrontEnd,
-            at_barrier: false,
             reg_busy: vec![0u64; 128].into_boxed_slice(),
             reg_from_mem: 0,
             flag_busy: [0, 0],
-            busy_max: 0,
             last_mem_done: 0,
-        }
-    }
-
-    fn mark_regs(&mut self, op: &iwc_isa::Operand, width: u32, until: u64, from_mem: bool) {
-        if let Some((lo, hi)) = op.grf_byte_range(width) {
-            self.busy_max = self.busy_max.max(until);
-            for r in lo / GRF_BYTES..=(hi - 1) / GRF_BYTES {
-                self.reg_busy[r as usize] = self.reg_busy[r as usize].max(until);
-                // The writer at issue time always owns the new maximum (its
-                // own scoreboard check drained earlier writers), so the
-                // provenance bit tracks the latest writer.
-                if from_mem {
-                    self.reg_from_mem |= 1u128 << r;
-                } else {
-                    self.reg_from_mem &= !(1u128 << r);
-                }
-            }
         }
     }
 
@@ -209,10 +180,12 @@ impl HwThread {
         (at, from_mem)
     }
 
-    /// [`mark_regs`](Self::mark_regs) over a precomputed register range.
+    /// Marks the registers in `range` busy until `until`. The writer at
+    /// issue time always owns the new maximum (its own scoreboard check
+    /// drained earlier writers), so the provenance bit tracks the latest
+    /// writer.
     fn mark_range(&mut self, range: Option<(u8, u8)>, until: u64, from_mem: bool) {
         if let Some((lo, hi)) = range {
-            self.busy_max = self.busy_max.max(until);
             for r in lo..=hi {
                 self.reg_busy[usize::from(r)] = self.reg_busy[usize::from(r)].max(until);
                 if from_mem {
@@ -242,24 +215,8 @@ pub struct IssueEvent {
     pub waves: u32,
 }
 
-/// Why a thread could not issue this cycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StallReason {
-    /// Waiting on an earlier fence/fetch release.
-    Stalled,
-    /// A source/destination register or flag is still in flight
-    /// (scoreboard RAW/WAW, including pending memory loads).
-    Scoreboard,
-    /// Instruction-cache miss.
-    Ifetch,
-    /// The target execution pipe is still occupied by earlier waves —
-    /// exactly the cycles BCC/SCC compress.
-    PipeBusy,
-    /// End-of-thread draining outstanding memory.
-    MemDrain,
-}
-
-/// Per-category counts of thread-cycles lost to each stall reason.
+/// Legacy per-pass stall events: every arbitration pass counts one event
+/// per blocked thread it visits, by the first check that blocked it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct StallStats {
     /// Fence/fetch release waits.
@@ -275,42 +232,6 @@ pub struct StallStats {
 }
 
 impl StallStats {
-    fn add(&mut self, reason: StallReason) {
-        match reason {
-            StallReason::Stalled => self.stalled += 1,
-            StallReason::Scoreboard => self.scoreboard += 1,
-            StallReason::Ifetch => self.ifetch += 1,
-            StallReason::PipeBusy => self.pipe_busy += 1,
-            StallReason::MemDrain => self.mem_drain += 1,
-        }
-    }
-
-    /// Counts accumulated since `earlier` (a prior copy of this struct),
-    /// with instruction-fetch waits folded into `stalled`: an I$ miss only
-    /// charges `ifetch` on the arbitration pass that starts it; every later
-    /// pass over the same blocked thread counts as a fence wait. The event
-    /// wheel uses this as the per-skipped-pass delta when reconstructing
-    /// the legacy per-pass counters for a sleeping EU ([`crate::gpu`]).
-    pub(crate) fn steady_delta_since(&self, earlier: &StallStats) -> StallStats {
-        StallStats {
-            stalled: self.stalled - earlier.stalled + (self.ifetch - earlier.ifetch),
-            scoreboard: self.scoreboard - earlier.scoreboard,
-            ifetch: 0,
-            pipe_busy: self.pipe_busy - earlier.pipe_busy,
-            mem_drain: self.mem_drain - earlier.mem_drain,
-        }
-    }
-
-    /// Adds `delta` scaled by `n` (one `delta` per skipped arbitration
-    /// pass).
-    pub(crate) fn add_scaled(&mut self, delta: &StallStats, n: u64) {
-        self.stalled += delta.stalled * n;
-        self.scoreboard += delta.scoreboard * n;
-        self.ifetch += delta.ifetch * n;
-        self.pipe_busy += delta.pipe_busy * n;
-        self.mem_drain += delta.mem_drain * n;
-    }
-
     /// Merges another sample.
     pub fn merge(&mut self, other: &StallStats) {
         self.stalled += other.stalled;
@@ -326,19 +247,9 @@ impl StallStats {
     }
 }
 
-/// What armed a thread's `stalled_until` timer (refines the legacy
-/// [`StallReason::Stalled`] bucket for cause attribution).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum StallSrc {
-    /// Instruction-fetch miss latency.
-    FrontEnd,
-    /// A memory fence waiting on outstanding accesses.
-    Mem,
-}
-
 /// Root cause of one non-issuing EU cycle.
 ///
-/// Unlike [`StallReason`] — which counts per-thread *issue-attempt*
+/// Unlike [`StallStats`] — which counts per-thread *issue-attempt*
 /// failures and can blame several threads in one cycle — a `StallCause`
 /// charges each EU cycle in which nothing issued to exactly **one** cause,
 /// so the per-EU invariant `issue_cycles + Σ causes == eu_cycles` holds
@@ -526,82 +437,154 @@ impl Instrument for EuStats {
     }
 }
 
-/// Outcome of one issue attempt on one thread.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IssueOutcome {
-    /// An instruction was issued.
-    Issued,
-    /// The thread finished (`eot` retired); the slot is free.
-    Finished,
-    /// The thread cannot issue before the given time, for the given legacy
-    /// reason and attributed root cause.
-    NotReadyUntil(u64, StallReason, StallCause),
-    /// The thread is blocked on a barrier (no time bound).
-    Barrier,
-}
-
-/// Issue schedule of a convergent burst, produced when the issue stage
-/// front-runs a whole hazard-free span in one arbiter visit (see
-/// [`Eu::arbitrate`]). The span's plans have already executed and charged
-/// their waves/tallies/scoreboard marks; what remains is replaying, at
-/// each later visited cycle, exactly the arbitration outcome the per-plan
-/// path would have produced — an issue at each scheduled time, a
-/// pipe-busy verdict in between. The scheduler loop does that replay
-/// without re-entering arbitration, so the EU's thread state (whose `pc`
-/// is already past the span) is never consulted early.
-#[derive(Clone, Debug)]
-pub struct BurstScript {
-    /// Issue cycles of the span's plans after the lead (strictly
-    /// increasing; the lead issued normally in the initiating visit).
-    times: Vec<u64>,
-    /// Next unreplayed entry.
-    at: usize,
-}
-
-impl BurstScript {
-    /// Scheduled issue cycle of the next unreplayed plan.
-    #[inline]
-    pub fn next_time(&self) -> u64 {
-        self.times[self.at]
-    }
-
-    /// Consumes one scheduled issue; true when the script is exhausted.
-    #[inline]
-    pub fn advance(&mut self) -> bool {
-        self.at += 1;
-        self.at == self.times.len()
-    }
-
-    /// Plans issued by the burst beyond the lead.
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    /// True when the script holds no scheduled issues (never for scripts
-    /// produced by arbitration, which require a span of at least two).
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
-    }
-}
-
 /// Outcome of one [`Eu::arbitrate`] pass.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ArbResult {
     /// Instructions issued this cycle (0..=`cfg.issue_per_cycle`).
     pub issued: u32,
-    /// Workgroup ids of threads that retired (`eot`) this cycle.
-    pub finished: Vec<usize>,
     /// Earliest future time at which some blocked thread becomes ready
     /// (`None` when all blocked threads wait on barriers or none is
-    /// resident).
+    /// resident). Only computed when nothing issued.
     pub hint: Option<u64>,
     /// Root cause blocking the EU, when nothing issued: the cause of the
     /// soonest-ready thread, else [`StallCause::Barrier`] if any thread is
     /// parked, else [`StallCause::Drained`]. `None` when something issued.
     pub blocked: Option<StallCause>,
-    /// Issue schedule of a convergent burst initiated by this pass, for
-    /// the scheduler loop to replay over the coming cycles.
-    pub burst: Option<BurstScript>,
+}
+
+/// Where issued instructions come from: decoded plans (the production
+/// backend) or the raw program through the reference interpreter.
+#[derive(Clone, Copy)]
+enum Code<'a> {
+    Plans(&'a DecodedProgram),
+    Reference(&'a Program),
+}
+
+/// The timing-relevant facts of one instruction, from its plan or (on the
+/// reference backend) straight from the instruction.
+struct IssueMeta {
+    dtype: DataType,
+    pipe: Pipe,
+    dst: Option<(u8, u8)>,
+    cond_flag: Option<u8>,
+    n_grf_operands: u64,
+}
+
+/// Packed issue state of an EU's slots, one structure-of-arrays over the
+/// slots. It holds everything an arbitration pass reads about a thread
+/// between two of its issues, so a pass never touches [`HwThread`] state
+/// unless it issues.
+///
+/// Each thread's next instruction is pre-evaluated (see [`prepare`]) only
+/// when its verdict can change — when it is placed and right after it
+/// issues — because nothing else moves it: the zero-mask skip, the exec
+/// mask, the scoreboard and the memory-drain time all depend on the
+/// thread's own state alone. What other threads change — the FPU/EM
+/// pipe-free times and the I$ contents — is read live at pass time.
+#[derive(Debug)]
+struct SlotState {
+    /// Slot holds a thread.
+    occupied: u64,
+    /// Slot's thread was placed and is not yet pre-evaluated.
+    unprepared: u64,
+    /// Slot's thread is parked at a workgroup barrier.
+    barrier: u64,
+    /// Slot's next instruction targets the FPU pipe.
+    fpu: u64,
+    /// Slot's next instruction targets the EM pipe.
+    em: u64,
+    /// Slot's next instruction is `eot`.
+    eot: u64,
+    /// Slot's release time was armed by a fence (a memory wait), not by an
+    /// instruction-fetch miss.
+    fence: u64,
+    /// Slot's binding scoreboard dependence is a load in flight.
+    sb_mem: u64,
+    /// Slot count.
+    n: usize,
+    /// Per-slot words, one array of `n` per field (see [`Word`]), in one
+    /// allocation so a pass touches a few adjacent cache lines.
+    words: Box<[u64]>,
+}
+
+/// The per-slot arrays of [`SlotState::words`].
+#[derive(Clone, Copy)]
+enum Word {
+    /// Fence or fetch release time: the thread may not issue before it.
+    StallUntil,
+    /// Scoreboard-ready time of the next instruction.
+    SbReady,
+    /// Completion of the thread's latest memory access (the `eot` drain).
+    Drain,
+    /// Program counter of the next instruction (probed in the I$ at
+    /// attempt time: the FIFO fill order is visible in timing).
+    Pc,
+}
+
+impl SlotState {
+    fn new(n: usize) -> Self {
+        Self {
+            occupied: 0,
+            unprepared: 0,
+            barrier: 0,
+            fpu: 0,
+            em: 0,
+            eot: 0,
+            fence: 0,
+            sb_mem: 0,
+            n,
+            words: vec![0; 4 * n].into(),
+        }
+    }
+
+    #[inline]
+    fn get(&self, w: Word, i: usize) -> u64 {
+        self.words[w as usize * self.n + i]
+    }
+
+    #[inline]
+    fn set(&mut self, w: Word, i: usize, v: u64) {
+        self.words[w as usize * self.n + i] = v;
+    }
+
+    /// The release time of slot `i` and its cause.
+    fn stall(&self, i: usize) -> (u64, StallCause) {
+        let cause = if self.fence >> i & 1 != 0 {
+            StallCause::MemLatency
+        } else {
+            StallCause::FrontEnd
+        };
+        (self.get(Word::StallUntil, i), cause)
+    }
+
+    /// Arms slot `i`'s release time; `fence` tells a memory wait from an
+    /// instruction-fetch miss.
+    fn set_stall(&mut self, i: usize, until: u64, fence: bool) {
+        self.set(Word::StallUntil, i, until);
+        set_bit(&mut self.fence, i, fence);
+    }
+}
+
+/// Sets or clears bit `i` of `m`.
+#[inline]
+fn set_bit(m: &mut u64, i: usize, on: bool) {
+    *m = if on { *m | 1 << i } else { *m & !(1 << i) };
+}
+
+/// The verdict of an arbitration pass that issued nothing. Until `wake`
+/// (the soonest blocked thread's ready time) a fresh pass would re-derive
+/// exactly the same hint, cause and per-pass stall counts: every blocked
+/// thread's wait is a fixed time for a thread that does not issue, and
+/// the pipe-free times only move when this EU issues. Placing a thread or
+/// releasing a barrier discards it.
+#[derive(Clone, Copy, Debug)]
+struct Idle {
+    wake: u64,
+    hint: Option<u64>,
+    cause: StallCause,
+    /// Per-pass stall counts of a repeated pass: an I$ miss is charged as
+    /// `ifetch` on the pass that starts it and as a fence wait after.
+    steady: StallStats,
 }
 
 /// One execution unit.
@@ -610,86 +593,35 @@ pub struct Eu {
     /// EU index.
     pub id: u32,
     /// Resident threads (None = free slot).
-    pub slots: Vec<Option<HwThread>>,
+    slots: Vec<Option<HwThread>>,
+    /// Packed per-slot issue state.
+    st: SlotState,
     /// Occupied-slot count, maintained at place/retire so the dispatch
     /// and completion checks in the scheduler loop are O(1) per cycle.
     resident: u32,
     fpu_free: u64,
     em_free: u64,
     arb_ptr: usize,
-    /// Instruction addresses resident in the shared L1 I$ (FIFO of PCs,
+    /// Instruction addresses resident in the L1 I$ (FIFO of PCs,
     /// capacity `cfg.icache_insns`).
     icache: std::collections::VecDeque<usize>,
     /// Dense residency flags for `icache`, indexed by PC (PCs are small
     /// program offsets, so a byte vector beats hashing on the issue path).
     icache_set: Vec<u8>,
-    /// Reusable lane-address/line scratch for the decoded send path.
+    /// Reusable lane-address/line scratch for the send path.
     scratch: LaneScratch,
     /// One-entry memo for the per-issue compaction tallies: loop bodies
     /// re-present the same mask, so the four cycle models are evaluated
     /// once per distinct mask instead of twice per issue.
     tally_memo: iwc_compaction::TallyMemo,
-    /// Per-slot cached blocked-issue verdicts, packed apart from the big
-    /// thread state so a scan over blocked slots stays inside a couple of
-    /// cache lines instead of touching each multi-KB [`HwThread`]. While
-    /// `now < polls[i].until`, slot `i` cannot issue and a fresh attempt
-    /// would re-derive exactly `(reason, cause)`. Valid because every wait
-    /// the issue stage can hit is a fixed timestamp for the blocked thread
-    /// — its scoreboard marks don't move until *it* issues, and shared
-    /// pipe-free times only grow, so the cached time is a stable lower
-    /// bound.
-    polls: Box<[SlotPoll]>,
-    /// Bit `i` set while `slots[i]` holds a thread, so the scan skips
-    /// empty slots without touching the slot storage.
-    occupied: u64,
-    /// Cached verdict of a fully-blocked arbitration scan, replayed
-    /// wholesale until the earliest blocked thread becomes ready (see
-    /// [`arbitrate`](Self::arbitrate)).
-    arb_memo: Option<ArbMemo>,
-    /// Bumped whenever thread state changes outside the issue path (a
-    /// thread placed, a barrier released), invalidating `arb_memo`.
-    epoch: u32,
+    /// Cached verdict of the last pass if it issued nothing.
+    idle: Option<Idle>,
     /// Statistics.
     pub stats: EuStats,
 }
 
-/// One slot's cached blocked-issue verdict (see [`Eu::polls`]).
-#[derive(Clone, Copy, Debug)]
-struct SlotPoll {
-    until: u64,
-    reason: StallReason,
-    cause: StallCause,
-}
-
-impl Default for SlotPoll {
-    fn default() -> Self {
-        Self {
-            until: 0,
-            reason: StallReason::Stalled,
-            cause: StallCause::FrontEnd,
-        }
-    }
-}
-
-/// Replayable result of an arbitration pass that issued nothing: until
-/// `valid_until`, a fresh scan of the same (unchanged) thread set would
-/// re-derive exactly these per-reason stall increments, wake-up hint, and
-/// root blocking cause, because every blocked thread's ready time is a
-/// stable lower bound and barrier residency only changes through a release
-/// (which bumps the EU epoch).
-#[derive(Clone, Copy, Debug)]
-struct ArbMemo {
-    valid_until: u64,
-    epoch: u32,
-    stalls_delta: StallStats,
-    hint: Option<u64>,
-    blocked: Option<StallCause>,
-}
-
 /// Instruction-fetch check: returns the extra stall (cycles) before the
-/// instruction at `pc` can issue, filling the FIFO I$ on a miss. A free
-/// function over the EU's I$ fields so both issue paths can call it while
-/// a thread slot is borrowed.
+/// instruction at `pc` can issue, filling the FIFO I$ on a miss.
 fn ifetch_check(
     icache: &mut std::collections::VecDeque<usize>,
     icache_set: &mut Vec<u8>,
@@ -733,17 +665,16 @@ fn record_issue_event(
     now: u64,
     pc: usize,
     mask: ExecMask,
-    plan: &MicroPlan,
+    meta: &IssueMeta,
     effect: PlanEffect,
 ) {
     if cfg.profile_insns {
         let compute = matches!(effect, PlanEffect::Compute(_));
-        stats.insn_profile.record(pc, mask, plan.dtype(), compute);
+        stats.insn_profile.record(pc, mask, meta.dtype, compute);
     }
     if cfg.record_issue_log {
-        let pipe = plan.pipe();
-        let waves = if pipe == Pipe::Fpu || pipe == Pipe::Em {
-            engine.cycles(mask, plan.dtype())
+        let waves = if meta.pipe == Pipe::Fpu || meta.pipe == Pipe::Em {
+            engine.cycles(mask, meta.dtype)
         } else {
             0
         };
@@ -751,7 +682,7 @@ fn record_issue_event(
             cycle: now,
             eu,
             thread,
-            pipe,
+            pipe: meta.pipe,
             waves,
         });
     }
@@ -760,15 +691,94 @@ fn record_issue_event(
     }
 }
 
+/// Set bits of a slot mask. Masks hold a few bits, so clearing them one
+/// at a time beats a software popcount (the baseline x86-64 target has no
+/// `popcnt` instruction).
+fn ones(mut m: u64) -> u64 {
+    let mut n = 0;
+    while m != 0 {
+        m &= m - 1;
+        n += 1;
+    }
+    n
+}
+
+/// Counts one zero-mask skip at `pc`, guarding against runaway skipping.
+fn note_skip(stats: &mut EuStats, cfg: &GpuConfig, pc: usize, guard: &mut usize, len: usize) {
+    stats.skipped_zero_mask += 1;
+    if cfg.profile_insns {
+        stats.insn_profile.record_skip(pc);
+    }
+    *guard += 1;
+    assert!(*guard <= len * 2, "runaway zero-mask skipping");
+}
+
+/// Pre-evaluates the next instruction of `t`, resident in slot `i`: skips
+/// zero-mask ALU/send instructions for free (jump-over), then records the
+/// scoreboard-ready time and its cause, target pipe, and `eot` drain time
+/// in the packed state.
+#[allow(clippy::too_many_arguments)]
+fn prepare(
+    t: &mut HwThread,
+    i: usize,
+    st: &mut SlotState,
+    stats: &mut EuStats,
+    cfg: &GpuConfig,
+    code: Code<'_>,
+    img: &mut MemoryImage,
+    slm: &mut MemoryImage,
+) {
+    let mut guard = 0usize;
+    let ((ready, from_mem), pipe, eot) = match code {
+        Code::Plans(plans) => {
+            let plan = loop {
+                let plan = plans.plan(t.ctx.pc);
+                if !(plan.is_data() && plan.exec_mask(&t.ctx).is_empty()) {
+                    break plan;
+                }
+                note_skip(stats, cfg, t.ctx.pc, &mut guard, plans.len());
+                t.ctx.pc += 1;
+            };
+            (t.deps_ready_at_plan(plan), plan.pipe(), plan.is_eot())
+        }
+        Code::Reference(program) => {
+            let insn = loop {
+                let insn = &program.insns()[t.ctx.pc];
+                if insn.op.pipe() == Pipe::Control
+                    || insn.op == Opcode::Eot
+                    || !exec_mask_of(&t.ctx, insn).is_empty()
+                {
+                    break insn;
+                }
+                let skip_pc = t.ctx.pc;
+                let e = execute_instruction(&mut t.ctx, program, img, slm);
+                debug_assert_eq!(e.effect, Effect::SkippedZeroMask);
+                note_skip(stats, cfg, skip_pc, &mut guard, program.len());
+            };
+            (
+                t.deps_ready_at(insn),
+                insn.op.pipe(),
+                insn.op == Opcode::Eot,
+            )
+        }
+    };
+    set_bit(&mut st.fpu, i, pipe == Pipe::Fpu);
+    set_bit(&mut st.em, i, pipe == Pipe::Em);
+    set_bit(&mut st.eot, i, eot);
+    set_bit(&mut st.sb_mem, i, from_mem);
+    st.set(Word::SbReady, i, ready);
+    st.set(Word::Drain, i, t.last_mem_done);
+    st.set(Word::Pc, i, t.ctx.pc as u64);
+}
+
 impl Eu {
     /// Creates an EU with `threads` empty slots.
     pub fn new(id: u32, threads: u32) -> Self {
-        assert!(threads <= 64, "occupancy bitmask holds at most 64 slots");
+        assert!(threads <= 64, "slot bitmasks hold at most 64 slots");
         Self {
             id,
             slots: (0..threads).map(|_| None).collect(),
-            polls: (0..threads).map(|_| SlotPoll::default()).collect(),
-            occupied: 0,
+            st: SlotState::new(threads as usize),
             resident: 0,
             fpu_free: 0,
             em_free: 0,
@@ -777,8 +787,7 @@ impl Eu {
             icache_set: Vec::new(),
             scratch: LaneScratch::new(),
             tally_memo: iwc_compaction::TallyMemo::default(),
-            arb_memo: None,
-            epoch: 0,
+            idle: None,
             stats: EuStats::default(),
         }
     }
@@ -793,533 +802,65 @@ impl Eu {
         self.resident == 0
     }
 
-    /// Places a thread into a free slot.
+    /// Places a thread into the lowest free slot.
     ///
     /// # Panics
     ///
     /// Panics when no slot is free.
     pub fn place(&mut self, t: HwThread) {
-        let slot = self
-            .slots
-            .iter()
-            .position(|s| s.is_none())
-            .expect("free slot");
+        let slot = (!self.st.occupied).trailing_zeros() as usize;
+        assert!(slot < self.slots.len(), "free slot");
         self.slots[slot] = Some(t);
-        self.polls[slot] = SlotPoll::default();
-        self.occupied |= 1 << slot;
+        let bit = 1u64 << slot;
+        self.st.occupied |= bit;
+        self.st.unprepared |= bit;
+        self.st.barrier &= !bit;
+        self.st.set_stall(slot, 0, false);
         self.resident += 1;
-        self.note_threads_changed();
+        self.idle = None;
     }
 
-    /// Invalidates the replayable arbitration verdict after a thread-state
-    /// change the issue path did not make itself (a thread placed, a
-    /// barrier released).
-    pub(crate) fn note_threads_changed(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
+    /// Releases every thread of workgroup `wg` parked at a barrier on this
+    /// EU; true when there was one.
+    pub fn release_barrier(&mut self, wg: usize) -> bool {
+        let mut woke = false;
+        let mut bits = self.st.barrier;
+        while bits != 0 {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if self.slots[i].as_ref().is_some_and(|t| t.wg == wg) {
+                self.st.barrier &= !(1 << i);
+                woke = true;
+            }
+        }
+        if woke {
+            self.idle = None;
+        }
+        woke
     }
 
-    /// Attempts to issue one instruction from thread slot `i` at time `now`.
-    #[allow(clippy::too_many_arguments)]
-    fn try_issue(
-        &mut self,
-        i: usize,
-        now: u64,
-        cfg: &GpuConfig,
-        engine: &dyn CompactionEngine,
-        program: &Program,
-        mem: &mut MemSystem,
-        img: &mut MemoryImage,
-        slm: &mut MemoryImage,
-        barrier_arrivals: &mut Vec<usize>,
-    ) -> IssueOutcome {
-        let Some(t) = self.slots[i].as_mut() else {
-            return IssueOutcome::Barrier; // empty slot: nothing to do, no bound
-        };
-        if t.at_barrier {
-            return IssueOutcome::Barrier;
-        }
-        if t.stalled_until > now {
-            let cause = match t.stalled_src {
-                StallSrc::FrontEnd => StallCause::FrontEnd,
-                StallSrc::Mem => StallCause::MemLatency,
-            };
-            return IssueOutcome::NotReadyUntil(t.stalled_until, StallReason::Stalled, cause);
-        }
-
-        // Skip zero-mask ALU/send instructions for free (jump-over).
-        let mut guard = 0usize;
-        loop {
-            let insn = &program.insns()[t.ctx.pc];
-            let is_data_op = !matches!(insn.op.pipe(), Pipe::Control);
-            if is_data_op && exec_mask_of(&t.ctx, insn).is_empty() && insn.op != Opcode::Eot {
-                let skip_pc = t.ctx.pc;
-                let e = execute_instruction(&mut t.ctx, program, img, slm);
-                debug_assert_eq!(e.effect, Effect::SkippedZeroMask);
-                self.stats.skipped_zero_mask += 1;
-                if cfg.profile_insns {
-                    self.stats.insn_profile.record_skip(skip_pc);
-                }
-                guard += 1;
-                assert!(guard <= program.len() * 2, "runaway zero-mask skipping");
-                continue;
-            }
-            break;
-        }
-
-        let pc = t.ctx.pc;
-        let insn = &program.insns()[pc];
-
-        // Scoreboard.
-        let (ready, dep_from_mem) = if t.busy_max <= now {
-            (0, false) // every scoreboard mark already expired
-        } else {
-            t.deps_ready_at(insn)
-        };
-        if ready > now {
-            let cause = if dep_from_mem {
-                StallCause::MemLatency
-            } else {
-                StallCause::ScoreboardDep
-            };
-            return IssueOutcome::NotReadyUntil(ready, StallReason::Scoreboard, cause);
-        }
-        // Instruction fetch: a cold I$ line stalls the thread once.
-        let fetch_stall = ifetch_check(
-            &mut self.icache,
-            &mut self.icache_set,
-            &mut self.stats.icache_misses,
-            pc,
-            cfg,
-        );
-        if fetch_stall > 0 {
-            let t = self.slots[i].as_mut().expect("thread present");
-            t.stalled_until = now + fetch_stall;
-            t.stalled_src = StallSrc::FrontEnd;
-            return IssueOutcome::NotReadyUntil(
-                now + fetch_stall,
-                StallReason::Ifetch,
-                StallCause::FrontEnd,
-            );
-        }
-        let t = self.slots[i].as_mut().expect("thread present");
-        let insn = &program.insns()[pc];
-        // Pipe availability for computation.
-        match insn.op.pipe() {
-            Pipe::Fpu if self.fpu_free > now => {
-                return IssueOutcome::NotReadyUntil(
-                    self.fpu_free,
-                    StallReason::PipeBusy,
-                    StallCause::PipeBusy,
-                )
-            }
-            Pipe::Em if self.em_free > now => {
-                return IssueOutcome::NotReadyUntil(
-                    self.em_free,
-                    StallReason::PipeBusy,
-                    StallCause::PipeBusy,
-                )
-            }
-            _ => {}
-        }
-        // EOT drains outstanding memory.
-        if insn.op == Opcode::Eot && t.last_mem_done > now {
-            return IssueOutcome::NotReadyUntil(
-                t.last_mem_done,
-                StallReason::MemDrain,
-                StallCause::MemLatency,
-            );
-        }
-
-        let exec_width = insn.exec_width;
-        let dtype = insn.dtype;
-        let dst = insn.dst;
-        let cond_flag = insn.cond_mod.map(|cm| cm.flag);
-        let n_operands = (insn
-            .used_srcs()
-            .iter()
-            .filter(|o| o.grf_reg().is_some())
-            .count()
-            + usize::from(insn.dst.grf_reg().is_some())) as u64;
-        let insn_pipe = insn.op.pipe();
-        let executed = execute_instruction(&mut t.ctx, program, img, slm);
-        self.stats.issued += 1;
-        if cfg.profile_insns {
-            let compute = matches!(executed.effect, Effect::Compute { .. });
-            self.stats
-                .insn_profile
-                .record(pc, executed.mask, dtype, compute);
-        }
-        if cfg.record_issue_log {
-            let waves = if insn_pipe == Pipe::Fpu || insn_pipe == Pipe::Em {
-                engine.cycles(executed.mask, dtype)
-            } else {
-                0
-            };
-            self.stats.issue_log.push(IssueEvent {
-                cycle: now,
-                eu: self.id,
-                thread: i as u8,
-                pipe: insn_pipe,
-                waves,
-            });
-        }
-
-        match executed.effect {
-            Effect::Compute { pipe } => {
-                let mut waves = u64::from(engine.cycles(executed.mask, dtype));
-                if cfg.rf_timing == crate::config::RfTiming::MultiCycle {
-                    // A single-ported file serializes one register-half
-                    // access per operand ahead of execution (§4.3 option 1).
-                    waves += n_operands;
-                }
-                let (pipe_free, depth) = match pipe {
-                    Pipe::Fpu => (&mut self.fpu_free, cfg.fpu_latency),
-                    Pipe::Em => (&mut self.em_free, cfg.em_latency),
-                    _ => unreachable!("compute on non-ALU pipe"),
-                };
-                *pipe_free = now + waves;
-                let writeback = now + waves + u64::from(depth);
-                t.mark_regs(&dst, exec_width, writeback, false);
-                if let Some(f) = cond_flag {
-                    t.flag_busy[f.index() as usize] = writeback;
-                    t.busy_max = t.busy_max.max(writeback);
-                }
-                match pipe {
-                    Pipe::Fpu => self.stats.fpu_waves += waves,
-                    Pipe::Em => self.stats.em_waves += waves,
-                    _ => {}
-                }
-                let d = self.tally_memo.delta(executed.mask, dtype);
-                self.stats.compute_tally.add_delta(&d);
-                self.stats.simd_tally.add_delta(&d);
-                if cfg.capture_masks {
-                    self.stats
-                        .mask_trace
-                        .push((executed.mask.bits(), executed.mask.width() as u8));
-                }
-            }
-            Effect::Memory {
-                space,
-                is_store,
-                ref lane_addrs,
-            } => {
-                self.stats.sends += 1;
-                let d = self.tally_memo.delta(executed.mask, dtype);
-                self.stats.simd_tally.add_delta(&d);
-                if cfg.capture_masks {
-                    self.stats
-                        .mask_trace
-                        .push((executed.mask.bits(), executed.mask.width() as u8));
-                }
-                let done = match space {
-                    MemSpace::Global => {
-                        let lines = mem.coalesce(lane_addrs);
-                        mem.global_access(now, &lines, is_store)
-                    }
-                    MemSpace::Slm => mem.slm_access(now, lane_addrs),
-                };
-                t.last_mem_done = t.last_mem_done.max(done);
-                if !is_store {
-                    t.mark_regs(&dst, exec_width, done, true);
-                }
-            }
-            Effect::Fence => {
-                t.stalled_until = t.last_mem_done;
-                t.stalled_src = StallSrc::Mem;
-            }
-            Effect::Barrier => {
-                t.at_barrier = true;
-                barrier_arrivals.push(t.wg);
-            }
-            Effect::Eot => {
-                self.slots[i] = None;
-                self.occupied &= !(1 << i);
-                self.resident -= 1;
-                return IssueOutcome::Finished;
-            }
-            Effect::ControlFlow => {}
-            Effect::SkippedZeroMask => unreachable!("skips handled before issue"),
-        }
-        IssueOutcome::Issued
-    }
-
-    /// [`try_issue`](Self::try_issue) over decoded plans: identical timing
-    /// decisions in the same order, but every per-issue lookup (operand
-    /// ranges, pipe, classification) comes precomputed from the
-    /// [`MicroPlan`], lane execution runs on raw GRF bytes, and send
-    /// bookkeeping reuses the EU's [`LaneScratch`] instead of allocating.
-    #[allow(clippy::too_many_arguments)]
-    fn try_issue_plan(
-        &mut self,
-        i: usize,
-        now: u64,
-        cfg: &GpuConfig,
-        engine: &dyn CompactionEngine,
-        plans: &DecodedProgram,
-        mem: &mut MemSystem,
-        img: &mut MemoryImage,
-        slm: &mut MemoryImage,
-        barrier_arrivals: &mut Vec<usize>,
-        recording: bool,
-        burst: bool,
-        burst_out: &mut Option<BurstScript>,
-    ) -> IssueOutcome {
-        let Self {
-            id,
-            slots,
-            occupied,
-            resident,
-            fpu_free,
-            em_free,
-            icache,
-            icache_set,
-            scratch,
-            tally_memo,
-            stats,
-            ..
-        } = self;
-        let eu_id = *id;
-        let Some(t) = slots[i].as_mut() else {
-            return IssueOutcome::Barrier; // empty slot: nothing to do, no bound
-        };
-        if t.at_barrier {
-            return IssueOutcome::Barrier;
-        }
-        if t.stalled_until > now {
-            let cause = match t.stalled_src {
-                StallSrc::FrontEnd => StallCause::FrontEnd,
-                StallSrc::Mem => StallCause::MemLatency,
-            };
-            return IssueOutcome::NotReadyUntil(t.stalled_until, StallReason::Stalled, cause);
-        }
-
-        // Skip zero-mask ALU/send instructions for free (jump-over).
-        let mut guard = 0usize;
-        let (plan, mask) = loop {
-            let plan = plans.plan(t.ctx.pc);
-            let mask = plan.exec_mask(&t.ctx);
-            if plan.is_data() && mask.is_empty() {
-                let skip_pc = t.ctx.pc;
-                t.ctx.pc += 1;
-                stats.skipped_zero_mask += 1;
-                if recording && cfg.profile_insns {
-                    stats.insn_profile.record_skip(skip_pc);
-                }
-                guard += 1;
-                assert!(guard <= plans.len() * 2, "runaway zero-mask skipping");
-                continue;
-            }
-            break (plan, mask);
-        };
-
-        let pc = t.ctx.pc;
-
-        // Scoreboard. A thread whose every mark has expired is "clean" —
-        // the burst check below reuses that fact as its no-pending-
-        // writeback precondition.
-        let clean = t.busy_max <= now;
-        let (ready, dep_from_mem) = if clean {
-            (0, false) // every scoreboard mark already expired
-        } else {
-            t.deps_ready_at_plan(plan)
-        };
-        if ready > now {
-            let cause = if dep_from_mem {
-                StallCause::MemLatency
-            } else {
-                StallCause::ScoreboardDep
-            };
-            return IssueOutcome::NotReadyUntil(ready, StallReason::Scoreboard, cause);
-        }
-        // Instruction fetch: a cold I$ line stalls the thread once.
-        let fetch_stall = ifetch_check(icache, icache_set, &mut stats.icache_misses, pc, cfg);
-        if fetch_stall > 0 {
-            t.stalled_until = now + fetch_stall;
-            t.stalled_src = StallSrc::FrontEnd;
-            return IssueOutcome::NotReadyUntil(
-                now + fetch_stall,
-                StallReason::Ifetch,
-                StallCause::FrontEnd,
-            );
-        }
-        // Pipe availability for computation.
-        match plan.pipe() {
-            Pipe::Fpu if *fpu_free > now => {
-                return IssueOutcome::NotReadyUntil(
-                    *fpu_free,
-                    StallReason::PipeBusy,
-                    StallCause::PipeBusy,
-                )
-            }
-            Pipe::Em if *em_free > now => {
-                return IssueOutcome::NotReadyUntil(
-                    *em_free,
-                    StallReason::PipeBusy,
-                    StallCause::PipeBusy,
-                )
-            }
-            _ => {}
-        }
-        // EOT drains outstanding memory.
-        if plan.is_eot() && t.last_mem_done > now {
-            return IssueOutcome::NotReadyUntil(
-                t.last_mem_done,
-                StallReason::MemDrain,
-                StallCause::MemLatency,
-            );
-        }
-
-        let effect = execute_plan(&mut t.ctx, plan, mask, img, slm, scratch);
-        stats.issued += 1;
-        if recording {
-            record_issue_event(
-                stats, cfg, engine, eu_id, i as u8, now, pc, mask, plan, effect,
-            );
-        }
-
-        match effect {
-            PlanEffect::Compute(pipe) => {
-                let mut waves = u64::from(engine.cycles(mask, plan.dtype()));
-                if cfg.rf_timing == crate::config::RfTiming::MultiCycle {
-                    // A single-ported file serializes one register-half
-                    // access per operand ahead of execution (§4.3 option 1).
-                    waves += plan.n_grf_operands();
-                }
-                let (pipe_free, depth) = match pipe {
-                    Pipe::Fpu => (&mut *fpu_free, cfg.fpu_latency),
-                    Pipe::Em => (&mut *em_free, cfg.em_latency),
-                    _ => unreachable!("compute on non-ALU pipe"),
-                };
-                *pipe_free = now + waves;
-                let writeback = now + waves + u64::from(depth);
-                t.mark_range(plan.dst_range(), writeback, false);
-                if let Some(f) = plan.cond_flag() {
-                    t.flag_busy[usize::from(f)] = writeback;
-                    t.busy_max = t.busy_max.max(writeback);
-                }
-                match pipe {
-                    Pipe::Fpu => stats.fpu_waves += waves,
-                    Pipe::Em => stats.em_waves += waves,
-                    _ => {}
-                }
-                let d = tally_memo.delta(mask, plan.dtype());
-                stats.compute_tally.add_delta(&d);
-                stats.simd_tally.add_delta(&d);
-
-                // Convergent burst: when this thread is the only resident
-                // one, fully converged, with no pending writeback, the
-                // whole hazard-free span starting here is already decided —
-                // the per-plan path could only replay scoreboard-clean
-                // issues separated by pipe-busy waits. Execute the span's
-                // remaining plans now, charge their waves, tallies, and
-                // scoreboard marks at their scheduled issue times, and hand
-                // the scheduler a script of those times to replay
-                // (timing-neutral; see [`crate::config::BurstMode`]).
-                if burst
-                    && !recording
-                    && clean
-                    && cfg.issue_per_cycle == 1
-                    && occupied.count_ones() == 1
-                    && mask.is_full()
-                    && plans.burst_span(pc) >= 2
-                    && engine.schedule(mask).is_none_or(|s| s.swizzle_count() == 0)
-                {
-                    let mut span = plans.burst_span(pc);
-                    // Clamp to the I$-resident prefix: a cold line would
-                    // stall the per-plan path mid-span (a hit leaves the
-                    // FIFO untouched, so residency here implies residency
-                    // at the scheduled issue time).
-                    if cfg.icache_miss_latency > 0 && cfg.icache_insns > 0 {
-                        let mut resident = 1;
-                        while resident < span
-                            && icache_set.get(pc + resident).is_some_and(|&r| r != 0)
-                        {
-                            resident += 1;
-                        }
-                        span = resident;
-                    }
-                    if span >= 2 {
-                        let mut times = Vec::with_capacity(span - 1);
-                        let mut t_issue = now;
-                        let mut prev_waves = waves;
-                        for _ in 1..span {
-                            let p = plans.plan(t.ctx.pc);
-                            let t_j = t_issue + prev_waves;
-                            let _e = execute_plan(&mut t.ctx, p, mask, img, slm, scratch);
-                            debug_assert!(matches!(_e, PlanEffect::Compute(_)));
-                            let mut w = u64::from(engine.cycles(mask, p.dtype()));
-                            if cfg.rf_timing == crate::config::RfTiming::MultiCycle {
-                                w += p.n_grf_operands();
-                            }
-                            *pipe_free = t_j + w;
-                            t.mark_range(p.dst_range(), t_j + w + u64::from(depth), false);
-                            match pipe {
-                                Pipe::Fpu => stats.fpu_waves += w,
-                                Pipe::Em => stats.em_waves += w,
-                                _ => {}
-                            }
-                            let d = tally_memo.delta(mask, p.dtype());
-                            stats.compute_tally.add_delta(&d);
-                            stats.simd_tally.add_delta(&d);
-                            stats.issued += 1;
-                            times.push(t_j);
-                            t_issue = t_j;
-                            prev_waves = w;
-                        }
-                        *burst_out = Some(BurstScript { times, at: 0 });
-                    }
-                }
-            }
-            PlanEffect::Memory { space, is_store } => {
-                stats.sends += 1;
-                let d = tally_memo.delta(mask, plan.dtype());
-                stats.simd_tally.add_delta(&d);
-                let done = match space {
-                    MemSpace::Global => {
-                        let addrs = &scratch.addrs[..usize::from(scratch.len)];
-                        mem.coalesce_into(addrs, &mut scratch.lines);
-                        mem.global_access(now, &scratch.lines, is_store)
-                    }
-                    MemSpace::Slm => mem.slm_access(now, scratch.addrs()),
-                };
-                t.last_mem_done = t.last_mem_done.max(done);
-                if !is_store {
-                    t.mark_range(plan.dst_range(), done, true);
-                }
-            }
-            PlanEffect::Fence => {
-                t.stalled_until = t.last_mem_done;
-                t.stalled_src = StallSrc::Mem;
-            }
-            PlanEffect::Barrier => {
-                t.at_barrier = true;
-                barrier_arrivals.push(t.wg);
-            }
-            PlanEffect::Eot => {
-                slots[i] = None;
-                *occupied &= !(1 << i);
-                *resident -= 1;
-                return IssueOutcome::Finished;
-            }
-            PlanEffect::ControlFlow => {}
-        }
-        IssueOutcome::Issued
-    }
-
-    /// One arbitration pass (invoked every cycle): issues up to
+    /// One arbitration pass (invoked every visited cycle): issues up to
     /// `cfg.issue_per_cycle` instructions from distinct ready threads,
-    /// rotating priority. The default of 1 is the paper's "two instructions
-    /// every two cycles" bandwidth at single-cycle granularity.
+    /// rotating priority from the slot after the last issuer. The default
+    /// of 1 is the paper's "two instructions every two cycles" bandwidth at
+    /// single-cycle granularity.
     ///
-    /// Returns an [`ArbResult`]: the issue count, retired workgroup
-    /// threads, the earliest future time at which some blocked thread
-    /// becomes ready (`None` when all blocked threads wait on barriers),
-    /// and — when nothing issued — the root [`StallCause`] blocking the EU.
+    /// A pass visits the slots in rotation order until the issue budget is
+    /// spent. A thread is blocked, in check order, by a barrier, a fence or
+    /// fetch release, its scoreboard, an I$ miss (probed now), a busy
+    /// target pipe, or an `eot` memory drain; every blocked thread visited
+    /// counts one legacy `stall_events/*` event. The first ready thread in
+    /// rotation order issues. Threads of workgroups that retire are pushed
+    /// onto `finished`.
     ///
     /// When `plans` is provided (the decoded backend), issue runs through
-    /// [`MicroPlan`]s; otherwise the reference interpreter re-inspects
-    /// `program` per issue. Both paths make identical timing decisions.
+    /// [`MicroPlan`]s; otherwise the reference interpreter executes
+    /// `program`. Both make identical timing decisions.
+    ///
+    /// An EU whose last pass issued nothing replays that verdict in O(1)
+    /// until its soonest blocked thread is ready.
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     pub fn arbitrate(
         &mut self,
         now: u64,
@@ -1331,158 +872,355 @@ impl Eu {
         img: &mut MemoryImage,
         slms: &mut [MemoryImage],
         barrier_arrivals: &mut Vec<usize>,
-        burst: bool,
+        finished: &mut Vec<usize>,
     ) -> ArbResult {
-        // Replay a still-valid fully-blocked verdict without touching any
-        // slot: nothing this EU can observe has changed since the scan
-        // that produced it.
-        if let Some(m) = &self.arb_memo {
-            if m.epoch == self.epoch && now < m.valid_until {
-                self.stats.stalls.merge(&m.stalls_delta);
+        if let Some(idle) = &self.idle {
+            if now < idle.wake {
+                self.stats.stalls.merge(&idle.steady);
                 return ArbResult {
                     issued: 0,
-                    finished: Vec::new(),
-                    hint: m.hint,
-                    blocked: m.blocked,
-                    burst: None,
+                    hint: idle.hint,
+                    blocked: Some(idle.cause),
                 };
             }
         }
+        self.pass(
+            now,
+            cfg,
+            engine,
+            program,
+            plans,
+            mem,
+            img,
+            slms,
+            barrier_arrivals,
+            finished,
+        )
+    }
+
+    /// A fresh arbitration pass (see [`arbitrate`](Self::arbitrate)).
+    #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
+    fn pass(
+        &mut self,
+        now: u64,
+        cfg: &GpuConfig,
+        engine: &dyn CompactionEngine,
+        program: &Program,
+        plans: Option<&DecodedProgram>,
+        mem: &mut MemSystem,
+        img: &mut MemoryImage,
+        slms: &mut [MemoryImage],
+        barrier_arrivals: &mut Vec<usize>,
+        finished: &mut Vec<usize>,
+    ) -> ArbResult {
+        let code = match plans {
+            Some(p) => Code::Plans(p),
+            None => Code::Reference(program),
+        };
+        while self.st.unprepared != 0 {
+            let i = self.st.unprepared.trailing_zeros() as usize;
+            self.st.unprepared &= !(1 << i);
+            let t = self.slots[i].as_mut().expect("placed thread");
+            let slm = &mut slms[t.slm_slot];
+            prepare(t, i, &mut self.st, &mut self.stats, cfg, code, img, slm);
+        }
+
+        // Fixed waits: a fence/fetch release, then the scoreboard.
+        let live = self.st.occupied & !self.st.barrier;
+        let (mut stalled, mut sb) = (0u64, 0u64);
+        let mut bits = live;
+        while bits != 0 {
+            let i = bits.trailing_zeros() as usize;
+            let b = bits & bits.wrapping_neg();
+            bits ^= b;
+            if self.st.get(Word::StallUntil, i) > now {
+                stalled |= b;
+            } else if self.st.get(Word::SbReady, i) > now {
+                sb |= b;
+            }
+        }
+
+        // Rotation order: position `k` is slot `(arb_ptr + k) % n`.
         let n = self.slots.len();
+        let p = self.arb_ptr;
+        let rot = |m: u64| {
+            if p == 0 {
+                m
+            } else {
+                (m >> p) | ((m << (n - p)) & (u64::MAX >> (64 - n)))
+            }
+        };
+        let slot_at = |k: usize| if p + k >= n { p + k - n } else { p + k };
+
+        // The remaining candidates, in rotation order: probe the I$, then
+        // the live pipe-free times, then the `eot` drain.
+        let (mut ifetch, mut pipe, mut drain) = (0u64, 0u64, 0u64);
         let mut issued = 0u32;
-        let mut finished = Vec::new();
-        let mut hint: Option<u64> = None;
-        // Soonest-ready blocked thread (strictly-earlier wins; ties keep
-        // the thread visited first in arbitration order) and whether any
-        // thread sat at a barrier, for root-cause attribution.
-        let mut soonest: Option<(u64, StallCause)> = None;
-        let mut saw_barrier = false;
-        let mut stall_delta = StallStats::default();
-        let recording = cfg.profile_insns || cfg.record_issue_log || cfg.capture_masks;
-        let mut burst_out: Option<BurstScript> = None;
-        let mut next = self.arb_ptr;
-        for _ in 0..n {
+        let mut visited = u64::MAX; // rotation positions the pass visited
+        let mut order = rot(live & !(stalled | sb));
+        while order != 0 {
+            let k = order.trailing_zeros() as usize;
+            order &= order - 1;
+            let i = slot_at(k);
+            let b = 1u64 << i;
+            let fetch = ifetch_check(
+                &mut self.icache,
+                &mut self.icache_set,
+                &mut self.stats.icache_misses,
+                self.st.get(Word::Pc, i) as usize,
+                cfg,
+            );
+            if fetch > 0 {
+                self.st.set_stall(i, now + fetch, false);
+                ifetch |= b;
+                continue;
+            }
+            if (self.st.fpu & b != 0 && self.fpu_free > now)
+                || (self.st.em & b != 0 && self.em_free > now)
+            {
+                pipe |= b;
+                continue;
+            }
+            if self.st.eot & b != 0 && self.st.get(Word::Drain, i) > now {
+                drain |= b;
+                continue;
+            }
+            self.issue(
+                i,
+                now,
+                cfg,
+                engine,
+                code,
+                mem,
+                img,
+                slms,
+                barrier_arrivals,
+                finished,
+            );
+            issued += 1;
+            self.arb_ptr = if i + 1 == n { 0 } else { i + 1 };
             if issued >= cfg.issue_per_cycle {
+                visited = (1u64 << k) - 1;
                 break;
             }
-            let i = next;
-            next = if next + 1 == n { 0 } else { next + 1 };
-            if self.occupied >> i & 1 == 0 {
-                continue;
-            }
-            // Replay a still-valid blocked verdict without re-running the
-            // issue attempt — or touching the slot's thread state at all
-            // (skipped under recording so per-pc stall profiles keep their
-            // slow-path granularity).
-            if !recording {
-                let p = self.polls[i];
-                if p.until > now {
-                    stall_delta.add(p.reason);
-                    hint = Some(hint.map_or(p.until, |h| h.min(p.until)));
-                    if soonest.is_none_or(|(best, _)| p.until < best) {
-                        soonest = Some((p.until, p.cause));
-                    }
-                    continue;
-                }
-            }
-            let Some(t) = self.slots[i].as_ref() else {
-                continue;
+        }
+
+        let pass = StallStats {
+            stalled: ones(rot(stalled) & visited),
+            scoreboard: ones(rot(sb) & visited),
+            ifetch: ones(ifetch),
+            pipe_busy: ones(pipe),
+            mem_drain: ones(drain),
+        };
+        self.stats.stalls.merge(&pass);
+        if issued > 0 {
+            self.idle = None;
+            return ArbResult {
+                issued,
+                hint: None,
+                blocked: None,
             };
-            let wg = t.wg;
-            let slm = &mut slms[t.slm_slot];
-            let outcome = match plans {
-                Some(p) => self.try_issue_plan(
-                    i,
-                    now,
-                    cfg,
-                    engine,
-                    p,
-                    mem,
-                    img,
-                    slm,
-                    barrier_arrivals,
-                    recording,
-                    burst,
-                    &mut burst_out,
-                ),
-                None => self.try_issue(
-                    i,
-                    now,
-                    cfg,
-                    engine,
-                    program,
-                    mem,
-                    img,
-                    slm,
-                    barrier_arrivals,
-                ),
+        }
+
+        // Nothing issued: every live thread is blocked. The hint is the
+        // soonest ready time; the blamed cause is that thread's, ties going
+        // to the first in rotation order.
+        let mut soonest: Option<(u64, StallCause)> = None;
+        let mut order = rot(live);
+        while order != 0 {
+            let k = order.trailing_zeros() as usize;
+            order &= order - 1;
+            let i = slot_at(k);
+            let b = 1u64 << i;
+            let (until, cause) = if (stalled | ifetch) & b != 0 {
+                self.st.stall(i)
+            } else if sb & b != 0 {
+                let cause = if self.st.sb_mem & b != 0 {
+                    StallCause::MemLatency
+                } else {
+                    StallCause::ScoreboardDep
+                };
+                (self.st.get(Word::SbReady, i), cause)
+            } else if pipe & b != 0 {
+                let free = if self.st.fpu & b != 0 {
+                    self.fpu_free
+                } else {
+                    self.em_free
+                };
+                (free, StallCause::PipeBusy)
+            } else {
+                (self.st.get(Word::Drain, i), StallCause::MemLatency)
             };
-            match outcome {
-                IssueOutcome::Issued => {
-                    issued += 1;
-                    self.arb_ptr = next;
-                }
-                IssueOutcome::Finished => {
-                    issued += 1;
-                    finished.push(wg);
-                    self.arb_ptr = next;
-                }
-                IssueOutcome::NotReadyUntil(at, reason, cause) => {
-                    stall_delta.add(reason);
-                    hint = Some(hint.map_or(at, |h| h.min(at)));
-                    if soonest.is_none_or(|(best, _)| at < best) {
-                        soonest = Some((at, cause));
-                    }
-                    self.polls[i] = SlotPoll {
-                        until: at,
-                        // Cache what a *repeated* fresh attempt would report:
-                        // an I$ miss is charged as `Ifetch` once, then the
-                        // thread sits behind `stalled_until`, which reports
-                        // plain `Stalled`.
-                        reason: if matches!(reason, StallReason::Ifetch) {
-                            StallReason::Stalled
-                        } else {
-                            reason
-                        },
-                        cause,
-                    };
-                }
-                IssueOutcome::Barrier => saw_barrier = true,
+            if soonest.is_none_or(|(best, _)| until < best) {
+                soonest = Some((until, cause));
             }
         }
-        let blocked = if issued > 0 {
-            None
-        } else if let Some((_, cause)) = soonest {
-            Some(cause)
-        } else if saw_barrier {
-            Some(StallCause::Barrier)
-        } else {
-            Some(StallCause::Drained)
+        let hint = soonest.map(|(at, _)| at);
+        let cause = match soonest {
+            Some((_, cause)) => cause,
+            None if self.st.occupied & self.st.barrier != 0 => StallCause::Barrier,
+            None => StallCause::Drained,
         };
-        self.stats.stalls.merge(&stall_delta);
-        // A scan that issued nothing replays unchanged until the soonest
-        // blocked thread becomes ready (with no timed waiter, until a
-        // barrier release or dispatch bumps the epoch).
-        self.arb_memo = if issued == 0 && !recording {
-            Some(ArbMemo {
-                valid_until: hint.unwrap_or(u64::MAX),
-                epoch: self.epoch,
-                // A repeated pass reports an I$ miss charged this pass as a
-                // plain fence wait — the same first-pass-only normalization
-                // the sleep path applies.
-                stalls_delta: stall_delta.steady_delta_since(&StallStats::default()),
-                hint,
-                blocked,
-            })
-        } else {
-            None
-        };
-        ArbResult {
-            issued,
-            finished,
+        self.idle = Some(Idle {
+            wake: hint.unwrap_or(u64::MAX),
             hint,
-            blocked,
-            burst: burst_out,
+            cause,
+            steady: StallStats {
+                stalled: pass.stalled + pass.ifetch,
+                ifetch: 0,
+                ..pass
+            },
+        });
+        ArbResult {
+            issued: 0,
+            hint,
+            blocked: Some(cause),
         }
+    }
+
+    /// Issues the next instruction of the thread in slot `i`, which passed
+    /// every check at `now`, and pre-evaluates the one after it.
+    #[allow(clippy::too_many_arguments)]
+    fn issue(
+        &mut self,
+        i: usize,
+        now: u64,
+        cfg: &GpuConfig,
+        engine: &dyn CompactionEngine,
+        code: Code<'_>,
+        mem: &mut MemSystem,
+        img: &mut MemoryImage,
+        slms: &mut [MemoryImage],
+        barrier_arrivals: &mut Vec<usize>,
+        finished: &mut Vec<usize>,
+    ) {
+        let Self {
+            id,
+            slots,
+            st,
+            resident,
+            fpu_free,
+            em_free,
+            scratch,
+            tally_memo,
+            stats,
+            ..
+        } = self;
+        let t = slots[i].as_mut().expect("thread present");
+        let slm = &mut slms[t.slm_slot];
+        let pc = st.get(Word::Pc, i) as usize;
+        let (effect, mask, meta) = match code {
+            Code::Plans(plans) => {
+                let plan = plans.plan(pc);
+                let mask = plan.exec_mask(&t.ctx);
+                let effect = execute_plan(&mut t.ctx, plan, mask, img, slm, scratch);
+                let meta = IssueMeta {
+                    dtype: plan.dtype(),
+                    pipe: plan.pipe(),
+                    dst: plan.dst_range(),
+                    cond_flag: plan.cond_flag(),
+                    n_grf_operands: plan.n_grf_operands(),
+                };
+                (effect, mask, meta)
+            }
+            Code::Reference(program) => {
+                let insn = &program.insns()[pc];
+                let meta = IssueMeta {
+                    dtype: insn.dtype,
+                    pipe: insn.op.pipe(),
+                    dst: reg_range(&insn.dst, insn.exec_width),
+                    cond_flag: insn.cond_mod.map(|cm| cm.flag.index()),
+                    n_grf_operands: grf_operand_count(insn),
+                };
+                let executed = execute_instruction(&mut t.ctx, program, img, slm);
+                let effect = match executed.effect {
+                    Effect::Compute { pipe } => PlanEffect::Compute(pipe),
+                    Effect::Memory {
+                        space,
+                        is_store,
+                        lane_addrs,
+                    } => {
+                        scratch.fill(&lane_addrs);
+                        PlanEffect::Memory { space, is_store }
+                    }
+                    Effect::Fence => PlanEffect::Fence,
+                    Effect::Barrier => PlanEffect::Barrier,
+                    Effect::Eot => PlanEffect::Eot,
+                    Effect::ControlFlow => PlanEffect::ControlFlow,
+                    Effect::SkippedZeroMask => unreachable!("skips happen at pre-evaluation"),
+                };
+                (effect, executed.mask, meta)
+            }
+        };
+        stats.issued += 1;
+        if cfg.profile_insns || cfg.record_issue_log || cfg.capture_masks {
+            record_issue_event(
+                stats, cfg, engine, *id, i as u8, now, pc, mask, &meta, effect,
+            );
+        }
+
+        match effect {
+            PlanEffect::Compute(pipe) => {
+                let mut waves = u64::from(engine.cycles(mask, meta.dtype));
+                if cfg.rf_timing == crate::config::RfTiming::MultiCycle {
+                    // A single-ported file serializes one register-half
+                    // access per operand ahead of execution (§4.3 option 1).
+                    waves += meta.n_grf_operands;
+                }
+                let (pipe_free, depth) = match pipe {
+                    Pipe::Fpu => (&mut *fpu_free, cfg.fpu_latency),
+                    Pipe::Em => (&mut *em_free, cfg.em_latency),
+                    _ => unreachable!("compute on non-ALU pipe"),
+                };
+                *pipe_free = now + waves;
+                let writeback = now + waves + u64::from(depth);
+                t.mark_range(meta.dst, writeback, false);
+                if let Some(f) = meta.cond_flag {
+                    t.flag_busy[usize::from(f)] = writeback;
+                }
+                match pipe {
+                    Pipe::Fpu => stats.fpu_waves += waves,
+                    Pipe::Em => stats.em_waves += waves,
+                    _ => {}
+                }
+                let d = tally_memo.delta(mask, meta.dtype);
+                stats.compute_tally.add_delta(&d);
+                stats.simd_tally.add_delta(&d);
+            }
+            PlanEffect::Memory { space, is_store } => {
+                stats.sends += 1;
+                let d = tally_memo.delta(mask, meta.dtype);
+                stats.simd_tally.add_delta(&d);
+                let done = match space {
+                    MemSpace::Global => {
+                        let addrs = &scratch.addrs[..usize::from(scratch.len)];
+                        mem.coalesce_into(addrs, &mut scratch.lines);
+                        mem.global_access(now, &scratch.lines, is_store)
+                    }
+                    MemSpace::Slm => mem.slm_access(now, scratch.addrs()),
+                };
+                t.last_mem_done = t.last_mem_done.max(done);
+                if !is_store {
+                    t.mark_range(meta.dst, done, true);
+                }
+            }
+            PlanEffect::Fence => {
+                st.set_stall(i, t.last_mem_done, true);
+            }
+            PlanEffect::Barrier => {
+                st.barrier |= 1 << i;
+                barrier_arrivals.push(t.wg);
+            }
+            PlanEffect::Eot => {
+                finished.push(t.wg);
+                slots[i] = None;
+                st.occupied &= !(1 << i);
+                *resident -= 1;
+                return;
+            }
+            PlanEffect::ControlFlow => {}
+        }
+        prepare(t, i, st, stats, cfg, code, img, slm);
     }
 }

@@ -68,15 +68,12 @@ pub mod profile;
 pub mod regfile;
 pub mod simt;
 pub mod timeline;
-pub mod wheel;
 
-pub use config::{BurstMode, CacheConfig, ExecBackend, GpuConfig, MemConfig, RfTiming, SchedMode};
+pub use config::{CacheConfig, ExecBackend, GpuConfig, MemConfig, RfTiming};
 pub use eu::{
-    BurstScript, Eu, EuStats, HwThread, IssueEvent, StallBreakdown, StallCause, StallSpan,
-    StallStats,
+    ArbResult, Eu, EuStats, HwThread, IssueEvent, StallBreakdown, StallCause, StallSpan, StallStats,
 };
 pub use exec::{execute_instruction, Effect, Executed, ThreadCtx};
-pub use gpu::BurstStats;
 pub use gpu::{arg_base_reg, simulate, simulate_decoded, Gpu, Launch, SimResult, SimulateError};
 pub use memimg::MemoryImage;
 pub use memsys::{MemStats, MemSystem};
@@ -84,4 +81,3 @@ pub use plan::{DecodedProgram, LaneScratch, MicroPlan, PlanEffect};
 pub use profile::{BlockStat, InsnStat, KernelProfile};
 pub use regfile::RegFile;
 pub use simt::SimtStack;
-pub use wheel::{TimingWheel, WheelStats};

@@ -159,26 +159,29 @@ impl MemSystem {
             // Data-cluster slot.
             let slot = self.dc_free_at.max(now as f64);
             self.dc_free_at = slot + 1.0 / self.cfg.dc_lines_per_cycle;
+            // Saturating from here on: a vanishing bandwidth pushes the
+            // slot to `u64::MAX`, which must stay a time past the cycle
+            // limit instead of wrapping round to an early completion.
             let slot = slot.ceil() as u64;
             // L3 bank.
             let bank = (line % u64::from(self.cfg.l3.banks)) as usize;
             let l3_start = slot.max(self.l3_bank_free[bank]);
-            self.l3_bank_free[bank] = l3_start + 1;
+            self.l3_bank_free[bank] = l3_start.saturating_add(1);
             let l3_hit = self.cfg.perfect_l3 || self.l3.access(line);
-            let mut ready = l3_start + u64::from(self.cfg.l3.latency);
+            let mut ready = l3_start.saturating_add(u64::from(self.cfg.l3.latency));
             if l3_hit {
                 self.stats.l3_hits += 1;
             } else {
                 self.stats.l3_misses += 1;
                 let lbank = (line % u64::from(self.cfg.llc.banks)) as usize;
                 let llc_start = ready.max(self.llc_bank_free[lbank]);
-                self.llc_bank_free[lbank] = llc_start + 1;
-                ready = llc_start + u64::from(self.cfg.llc.latency);
+                self.llc_bank_free[lbank] = llc_start.saturating_add(1);
+                ready = llc_start.saturating_add(u64::from(self.cfg.llc.latency));
                 if self.llc.access(line) {
                     self.stats.llc_hits += 1;
                 } else {
                     self.stats.llc_misses += 1;
-                    ready += u64::from(self.cfg.dram_latency);
+                    ready = ready.saturating_add(u64::from(self.cfg.dram_latency));
                 }
             }
             done = done.max(ready);
@@ -283,6 +286,18 @@ mod tests {
         );
         let t_dc2 = m2.global_access(0, &lines, false);
         assert!(t_dc2 < t_dc1, "DC2 ({t_dc2}) must beat DC1 ({t_dc1})");
+    }
+
+    #[test]
+    fn vanishing_dc_bandwidth_saturates_instead_of_wrapping() {
+        let mut m = MemSystem::new(GpuConfig::paper_default().with_dc_bandwidth(1e-300).mem);
+        let first = m.global_access(0, &[1, 2], false);
+        let second = m.global_access(0, &[3], false);
+        assert!(
+            first > 1 << 60,
+            "two lines at 1e-300 lines/cycle took {first}"
+        );
+        assert_eq!(second, u64::MAX, "a saturated cluster must stay saturated");
     }
 
     #[test]

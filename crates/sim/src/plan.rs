@@ -274,6 +274,12 @@ impl LaneScratch {
         self.len = 0;
     }
 
+    /// Replaces the captured lane addresses with `addrs`.
+    pub(crate) fn fill(&mut self, addrs: &[u32]) {
+        self.addrs[..addrs.len()].copy_from_slice(addrs);
+        self.len = addrs.len() as u8;
+    }
+
     #[inline]
     fn push(&mut self, a: u32) {
         self.addrs[usize::from(self.len)] = a;
@@ -329,12 +335,7 @@ impl MicroPlan {
             reads[usize::from(n_reads)] = r;
             n_reads += 1;
         }
-        let n_grf_operands = (insn
-            .used_srcs()
-            .iter()
-            .filter(|o| o.grf_reg().is_some())
-            .count()
-            + usize::from(insn.dst.grf_reg().is_some())) as u64;
+        let n_grf_operands = grf_operand_count(insn);
         let pipe = insn.op.pipe();
         Self {
             kind: decode_kind(insn),
@@ -395,45 +396,6 @@ impl MicroPlan {
         self.n_grf_operands
     }
 
-    /// True when this plan can participate in a convergent burst: a pure
-    /// ALU computation with no predicate and no flag write, so its issue
-    /// outcome under a full mask is a function of the static program alone
-    /// (no mask gating, no flag dataflow, no control transfer).
-    fn burstable(&self) -> bool {
-        matches!(
-            self.kind,
-            PlanKind::AluF { .. }
-                | PlanKind::AluD { .. }
-                | PlanKind::AluU { .. }
-                | PlanKind::AluVec { .. }
-                | PlanKind::AluGeneric { .. }
-        ) && self.pred.is_none()
-            && self.cond_flag.is_none()
-    }
-
-    /// GRF registers this plan reads or writes, as a bitmap (`scoreboard`
-    /// ranges include the destination).
-    fn touched_regs(&self) -> u128 {
-        let mut bits = 0u128;
-        for &(lo, hi) in self.scoreboard().0 {
-            for r in lo..=hi {
-                bits |= 1u128 << r;
-            }
-        }
-        bits
-    }
-
-    /// GRF registers this plan writes, as a bitmap.
-    fn dst_regs(&self) -> u128 {
-        let mut bits = 0u128;
-        if let Some((lo, hi)) = self.dst_range {
-            for r in lo..=hi {
-                bits |= 1u128 << r;
-            }
-        }
-        bits
-    }
-
     /// The execution mask this plan would run under right now: the SIMT
     /// mask ANDed with the gating predicate (mirrors
     /// [`exec_mask_of`](crate::exec::exec_mask_of)).
@@ -448,7 +410,20 @@ impl MicroPlan {
     }
 }
 
-fn reg_range(op: &Operand, width: u32) -> Option<(u8, u8)> {
+/// GRF operands (used sources plus destination) of `insn`: the register
+/// accesses a single-ported file serializes under
+/// [`RfTiming::MultiCycle`](crate::config::RfTiming::MultiCycle).
+pub(crate) fn grf_operand_count(insn: &Instruction) -> u64 {
+    (insn
+        .used_srcs()
+        .iter()
+        .filter(|o| o.grf_reg().is_some())
+        .count()
+        + usize::from(insn.dst.grf_reg().is_some())) as u64
+}
+
+/// The GRF registers (inclusive) `op` touches at `width` channels.
+pub(crate) fn reg_range(op: &Operand, width: u32) -> Option<(u8, u8)> {
     op.grf_byte_range(width)
         .map(|(lo, hi)| ((lo / GRF_BYTES) as u8, ((hi - 1) / GRF_BYTES) as u8))
 }
@@ -860,51 +835,11 @@ alu_tables!(unsigned_fn -> u64, unsigned_span via span_u {
     Irem => |a: u64, b, _| a.checked_rem(b).unwrap_or(0),
 });
 
-/// Longest straight-line span one convergent burst may cover. Bounds the
-/// per-`pc` span scan at decode time and the work one arbiter visit can
-/// front-run at issue time.
-pub(crate) const MAX_BURST_SPAN: usize = 64;
-
-/// Length of the maximal hazard-free burst span starting at each `pc`:
-/// consecutive [`MicroPlan::burstable`] plans on one pipe where no plan
-/// reads or overwrites a register an earlier span plan writes. Within such
-/// a span, back-to-back issue is fully determined at decode time — the
-/// scoreboard can never interpose — which is what lets the issue stage
-/// replay the whole span from one arbiter visit.
-fn burst_spans(plans: &[MicroPlan]) -> Box<[u16]> {
-    let mut spans = vec![1u16; plans.len()];
-    for pc in 0..plans.len() {
-        let lead = &plans[pc];
-        if !lead.burstable() {
-            continue;
-        }
-        let mut written = lead.dst_regs();
-        let mut len = 1usize;
-        while len < MAX_BURST_SPAN {
-            let Some(next) = plans.get(pc + len) else {
-                break;
-            };
-            // `touched_regs` includes the destination, so this rejects both
-            // RAW and WAW against every earlier span write (WAR is not a
-            // hazard: the scoreboard only tracks writers).
-            if !next.burstable() || next.pipe != lead.pipe || next.touched_regs() & written != 0 {
-                break;
-            }
-            written |= next.dst_regs();
-            len += 1;
-        }
-        spans[pc] = len as u16;
-    }
-    spans.into_boxed_slice()
-}
-
 /// A [`Program`] lowered into per-instruction [`MicroPlan`]s, built once
 /// per launch.
 #[derive(Clone, Debug)]
 pub struct DecodedProgram {
     plans: Box<[MicroPlan]>,
-    /// Burst-span length per `pc` (≥ 1; 1 = no burst possible here).
-    burst_span: Box<[u16]>,
 }
 
 impl DecodedProgram {
@@ -913,18 +848,9 @@ impl DecodedProgram {
     /// the `"decode"` phase of the current request span, if one is
     /// installed (a no-op everywhere outside the serve daemon).
     pub fn decode(program: &Program) -> Self {
-        iwc_telemetry::span::time_phase("decode", || {
-            let plans: Box<[MicroPlan]> = program.insns().iter().map(MicroPlan::decode).collect();
-            let burst_span = burst_spans(&plans);
-            Self { plans, burst_span }
+        iwc_telemetry::span::time_phase("decode", || Self {
+            plans: program.insns().iter().map(MicroPlan::decode).collect(),
         })
-    }
-
-    /// Length of the maximal hazard-free burst span starting at `pc`
-    /// (≥ 1; see [`burst_spans`]).
-    #[inline]
-    pub(crate) fn burst_span(&self, pc: usize) -> usize {
-        usize::from(self.burst_span[pc])
     }
 
     /// The plan at instruction index `pc`.

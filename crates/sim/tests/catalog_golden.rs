@@ -30,9 +30,7 @@
 
 use iwc_compaction::EngineId;
 use iwc_isa::{CondOp, DataType, FlagReg, KernelBuilder, MemSpace, Operand, Predicate};
-use iwc_sim::{
-    simulate, BurstMode, GpuConfig, Launch, MemoryImage, RfTiming, SchedMode, SimResult,
-};
+use iwc_sim::{simulate, GpuConfig, Launch, MemoryImage, RfTiming, SimResult};
 use iwc_telemetry::TelemetrySnapshot;
 use iwc_workloads::catalog;
 use std::collections::BTreeMap;
@@ -56,11 +54,7 @@ const CONFIGS: [&str; 6] = [
 ];
 
 fn config(label: &str, engine: EngineId) -> GpuConfig {
-    // The oracle: the tick loop with one plan per arbiter visit.
-    let cfg = GpuConfig::paper_default()
-        .with_sched(SchedMode::Tick)
-        .with_burst(BurstMode::Off)
-        .with_compaction(engine);
+    let cfg = GpuConfig::paper_default().with_compaction(engine);
     match label {
         "paper" => cfg,
         "dc2" => cfg.with_dc_bandwidth(2.0),

@@ -14,7 +14,7 @@
 
 use iwc_compaction::EngineId;
 use iwc_isa::{DataType, KernelBuilder, MemSpace, Operand};
-use iwc_sim::{simulate, BurstMode, ExecBackend, GpuConfig, Launch, MemoryImage};
+use iwc_sim::{simulate, ExecBackend, GpuConfig, Launch, MemoryImage};
 use iwc_workloads::{catalog, Built};
 
 fn assert_images_equal(a: &MemoryImage, b: &MemoryImage, ctx: &str) {
@@ -38,12 +38,8 @@ fn assert_images_equal(a: &MemoryImage, b: &MemoryImage, ctx: &str) {
 }
 
 /// Runs `built` under both backends with otherwise identical configs and
-/// asserts result + memory equivalence. Convergent bursts are pinned off:
-/// only the decoded backend can burst (and would then publish the
-/// `sim/burst` telemetry group the reference run lacks); burst-on-vs-off
-/// identity has its own differential suite (`burst_equivalence.rs`).
+/// asserts result + memory equivalence.
 fn assert_backends_equivalent(built: &Built, cfg: &GpuConfig, ctx: &str) {
-    let cfg = cfg.with_burst(BurstMode::Off);
     let (decoded, img_decoded) = built
         .run(&cfg.with_exec(ExecBackend::Decoded))
         .unwrap_or_else(|e| panic!("{ctx}: decoded run failed: {e}"));
@@ -121,7 +117,7 @@ fn run_both(program: iwc_isa::Program, global: u32, wg: u32, args: &[u32], init:
     let launch = Launch::new(program, global, wg).with_args(args);
     let mut img_decoded = init.clone();
     let mut img_reference = init.clone();
-    let cfg = GpuConfig::paper_default().with_burst(BurstMode::Off);
+    let cfg = GpuConfig::paper_default();
     let decoded = simulate(
         &cfg.with_exec(ExecBackend::Decoded),
         &launch,

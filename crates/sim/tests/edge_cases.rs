@@ -444,3 +444,21 @@ fn run_modes_scratch_image_matches_independent_runs() {
         }
     }
 }
+
+/// A vanishing data-cluster bandwidth must end in the cycle limit, never
+/// in a shorter run: each line's slot saturates instead of wrapping round
+/// to an early completion.
+#[test]
+fn vanishing_dc_bandwidth_hits_the_cycle_limit() {
+    let entries = iwc_workloads::catalog();
+    let va = entries.iter().find(|e| e.name == "VA").expect("VA");
+    let built = (va.build)(1);
+    for bw in [1e-300, 1e-12] {
+        let mut img = built.img.clone();
+        let cfg = GpuConfig::paper_default().with_dc_bandwidth(bw);
+        match simulate(&cfg, &built.launch, &mut img) {
+            Err(iwc_sim::SimulateError::CycleLimit(_)) => {}
+            other => panic!("dc_bandwidth {bw}: want CycleLimit, got {other:?}"),
+        }
+    }
+}
