@@ -158,24 +158,22 @@ impl HwThread {
         let mut at = 0u64;
         let mut from_mem = false;
         let (reads, pred_flag, cond_flag) = plan.scoreboard();
+        // Branch-free: the times are data the predictor cannot learn. A
+        // later writer takes over the provenance; a tie with a pending
+        // writer adds its own.
         for &(lo, hi) in reads {
             for r in lo..=hi {
                 let busy = self.reg_busy[usize::from(r)];
                 let mem = self.reg_from_mem >> r & 1 == 1;
-                if busy > at {
-                    at = busy;
-                    from_mem = mem;
-                } else if busy == at {
-                    from_mem |= mem && busy > 0;
-                }
+                let later = busy > at;
+                from_mem = (later & mem) | (!later & (from_mem | (busy == at) & (busy > 0) & mem));
+                at = at.max(busy);
             }
         }
         for f in [pred_flag, cond_flag].into_iter().flatten() {
             let busy = self.flag_busy[usize::from(f)];
-            if busy > at {
-                at = busy;
-                from_mem = false;
-            }
+            from_mem &= busy <= at;
+            at = at.max(busy);
         }
         (at, from_mem)
     }
@@ -547,6 +545,12 @@ impl SlotState {
         self.words[w as usize * self.n + i] = v;
     }
 
+    /// Every slot's release time and scoreboard-ready time (the first two
+    /// word arrays).
+    fn fixed_waits(&self) -> (&[u64], &[u64]) {
+        self.words[..2 * self.n].split_at(self.n)
+    }
+
     /// The release time of slot `i` and its cause.
     fn stall(&self, i: usize) -> (u64, StallCause) {
         let cause = if self.fence >> i & 1 != 0 {
@@ -574,8 +578,9 @@ fn set_bit(m: &mut u64, i: usize, on: bool) {
 /// The verdict of an arbitration pass that issued nothing. Until `wake`
 /// (the soonest blocked thread's ready time) a fresh pass would re-derive
 /// exactly the same hint, cause and per-pass stall counts: every blocked
-/// thread's wait is a fixed time for a thread that does not issue, and
-/// the pipe-free times only move when this EU issues. Placing a thread or
+/// thread's wait is a fixed time for a thread that does not issue, the
+/// pipe-free times only move when this EU issues, and the I$ only changes
+/// on a miss (a pass that evicted keeps no verdict). Placing a thread or
 /// releasing a barrier discards it.
 #[derive(Clone, Copy, Debug)]
 struct Idle {
@@ -621,11 +626,13 @@ pub struct Eu {
 }
 
 /// Instruction-fetch check: returns the extra stall (cycles) before the
-/// instruction at `pc` can issue, filling the FIFO I$ on a miss.
+/// instruction at `pc` can issue, filling the FIFO I$ on a miss (which
+/// sets `evicted` when the FIFO was full).
 fn ifetch_check(
     icache: &mut std::collections::VecDeque<usize>,
     icache_set: &mut Vec<u8>,
     misses: &mut u64,
+    evicted: &mut bool,
     pc: usize,
     cfg: &GpuConfig,
 ) -> u64 {
@@ -639,6 +646,7 @@ fn ifetch_check(
     if icache.len() as u32 >= cfg.icache_insns {
         if let Some(old) = icache.pop_front() {
             icache_set[old] = 0;
+            *evicted = true;
         }
     }
     icache.push_back(pc);
@@ -688,6 +696,31 @@ fn record_issue_event(
     }
     if cfg.capture_masks && matches!(effect, PlanEffect::Compute(_) | PlanEffect::Memory { .. }) {
         stats.mask_trace.push((mask.bits(), mask.width() as u8));
+    }
+}
+
+/// The slots of mask `m` in rotation order from slot `p`: `p`, `p + 1`,
+/// …, then wrapping round to `0`, …, `p - 1`.
+fn rotation(m: u64, p: usize) -> impl Iterator<Item = usize> {
+    let first = u64::MAX << p;
+    [m & first, m & !first].into_iter().flat_map(|mut lap| {
+        std::iter::from_fn(move || {
+            (lap != 0).then(|| {
+                let i = lap.trailing_zeros() as usize;
+                lap &= lap - 1;
+                i
+            })
+        })
+    })
+}
+
+/// The slots a pass starting at slot `p` visits before slot `i`.
+fn before(p: usize, i: usize) -> u64 {
+    let below = |x: usize| (1u64 << x) - 1;
+    if i >= p {
+        below(i) & !below(p)
+    } else {
+        !below(p) | below(i)
     }
 }
 
@@ -926,49 +959,48 @@ impl Eu {
             prepare(t, i, &mut self.st, &mut self.stats, cfg, code, img, slm);
         }
 
-        // Fixed waits: a fence/fetch release, then the scoreboard.
+        // Fixed waits: a fence/fetch release, then the scoreboard. Judged
+        // for every slot at once, without branching on the times.
         let live = self.st.occupied & !self.st.barrier;
         let (mut stalled, mut sb) = (0u64, 0u64);
-        let mut bits = live;
-        while bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            let b = bits & bits.wrapping_neg();
-            bits ^= b;
-            if self.st.get(Word::StallUntil, i) > now {
-                stalled |= b;
-            } else if self.st.get(Word::SbReady, i) > now {
-                sb |= b;
-            }
+        let (release, ready) = self.st.fixed_waits();
+        for (i, (&r, &q)) in release.iter().zip(ready).enumerate() {
+            let held = u64::from(r > now);
+            stalled |= held << i;
+            sb |= (u64::from(q > now) & !held) << i;
+        }
+        stalled &= live;
+        sb &= live;
+
+        // Waits other threads move, read live: the target pipe's free time
+        // and, for `eot`, the memory drain.
+        let cand = live & !(stalled | sb);
+        let mut pipe_held = self.pipe_held(now);
+        let mut drain_held = 0u64;
+        let mut eots = self.st.eot & cand;
+        while eots != 0 {
+            let i = eots.trailing_zeros() as usize;
+            eots &= eots - 1;
+            drain_held |= u64::from(self.st.get(Word::Drain, i) > now) << i;
         }
 
-        // Rotation order: position `k` is slot `(arb_ptr + k) % n`.
+        // The candidates in rotation order: probe the I$, then issue the
+        // first whose pipe and drain waits are over.
         let n = self.slots.len();
         let p = self.arb_ptr;
-        let rot = |m: u64| {
-            if p == 0 {
-                m
-            } else {
-                (m >> p) | ((m << (n - p)) & (u64::MAX >> (64 - n)))
-            }
-        };
-        let slot_at = |k: usize| if p + k >= n { p + k - n } else { p + k };
-
-        // The remaining candidates, in rotation order: probe the I$, then
-        // the live pipe-free times, then the `eot` drain.
         let (mut ifetch, mut pipe, mut drain) = (0u64, 0u64, 0u64);
         let mut issued = 0u32;
-        let mut visited = u64::MAX; // rotation positions the pass visited
-        let mut order = rot(live & !(stalled | sb));
-        while order != 0 {
-            let k = order.trailing_zeros() as usize;
-            order &= order - 1;
-            let i = slot_at(k);
+        let mut visited = u64::MAX; // slots the pass visited
+        let mut evicted = false;
+        for i in rotation(cand, p) {
             let b = 1u64 << i;
+            let pc = self.st.get(Word::Pc, i) as usize;
             let fetch = ifetch_check(
                 &mut self.icache,
                 &mut self.icache_set,
                 &mut self.stats.icache_misses,
-                self.st.get(Word::Pc, i) as usize,
+                &mut evicted,
+                pc,
                 cfg,
             );
             if fetch > 0 {
@@ -976,14 +1008,9 @@ impl Eu {
                 ifetch |= b;
                 continue;
             }
-            if (self.st.fpu & b != 0 && self.fpu_free > now)
-                || (self.st.em & b != 0 && self.em_free > now)
-            {
-                pipe |= b;
-                continue;
-            }
-            if self.st.eot & b != 0 && self.st.get(Word::Drain, i) > now {
-                drain |= b;
+            if (pipe_held | drain_held) & b != 0 {
+                pipe |= pipe_held & b;
+                drain |= drain_held & b;
                 continue;
             }
             self.issue(
@@ -1001,14 +1028,15 @@ impl Eu {
             issued += 1;
             self.arb_ptr = if i + 1 == n { 0 } else { i + 1 };
             if issued >= cfg.issue_per_cycle {
-                visited = (1u64 << k) - 1;
+                visited = before(p, i);
                 break;
             }
+            pipe_held = self.pipe_held(now); // the issue may have booked a pipe
         }
 
         let pass = StallStats {
-            stalled: ones(rot(stalled) & visited),
-            scoreboard: ones(rot(sb) & visited),
+            stalled: ones(stalled & visited),
+            scoreboard: ones(sb & visited),
             ifetch: ones(ifetch),
             pipe_busy: ones(pipe),
             mem_drain: ones(drain),
@@ -1027,11 +1055,7 @@ impl Eu {
         // soonest ready time; the blamed cause is that thread's, ties going
         // to the first in rotation order.
         let mut soonest: Option<(u64, StallCause)> = None;
-        let mut order = rot(live);
-        while order != 0 {
-            let k = order.trailing_zeros() as usize;
-            order &= order - 1;
-            let i = slot_at(k);
+        for i in rotation(live, p) {
             let b = 1u64 << i;
             let (until, cause) = if (stalled | ifetch) & b != 0 {
                 self.st.stall(i)
@@ -1062,7 +1086,10 @@ impl Eu {
             None if self.st.occupied & self.st.barrier != 0 => StallCause::Barrier,
             None => StallCause::Drained,
         };
-        self.idle = Some(Idle {
+        // An eviction this pass may have removed the next pc of a slot that
+        // probed before it, so a repeat pass could miss where this one hit:
+        // no verdict to replay then.
+        self.idle = (!evicted).then_some(Idle {
             wake: hint.unwrap_or(u64::MAX),
             hint,
             cause,
@@ -1077,6 +1104,12 @@ impl Eu {
             hint,
             blocked: Some(cause),
         }
+    }
+
+    /// Slots whose next instruction's pipe is still busy at `now`.
+    fn pipe_held(&self, now: u64) -> u64 {
+        let all_if = |c: bool| 0u64.wrapping_sub(u64::from(c));
+        (self.st.fpu & all_if(self.fpu_free > now)) | (self.st.em & all_if(self.em_free > now))
     }
 
     /// Issues the next instruction of the thread in slot `i`, which passed

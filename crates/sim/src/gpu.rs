@@ -168,6 +168,10 @@ impl fmt::Display for SimulateError {
 
 impl std::error::Error for SimulateError {}
 
+/// Index of issue cycles in the per-EU cycle accounts, after the
+/// [`StallCause`] discriminants.
+const ISSUED: usize = StallCause::ALL.len();
+
 /// Cycle safety limit for one simulation.
 pub const MAX_CYCLES: u64 = 2_000_000_000;
 
@@ -401,10 +405,15 @@ fn run_launch_inner(
     let mut now = start;
     // Per EU, the cause blocking it this visited cycle (`None`: it issued).
     let mut blocked: Vec<Option<StallCause>> = vec![None; eus.len()];
+    // Per EU, cycles charged to each `StallCause` (by discriminant) and, in
+    // the last entry, issue cycles: one indexed add per EU per visited
+    // cycle, folded into the stats when the launch ends.
+    let mut charged: Vec<[u64; ISSUED + 1]> = vec![[0; ISSUED + 1]; eus.len()];
     // Workgroups with a barrier arrival / a retired thread this cycle — the
     // only candidates for a barrier release.
     let mut arrivals: Vec<usize> = Vec::new();
     let mut finished: Vec<usize> = Vec::new();
+    let mut dispatch = true;
 
     // One loop visits every cycle in which some EU can make progress. An
     // EU whose every thread is blocked answers from its cached verdict in
@@ -412,7 +421,9 @@ fn run_launch_inner(
     // straight to the soonest such cycle over all EUs.
     loop {
         // ---- dispatch pending workgroups ----
-        if next_wg < num_wgs {
+        // Slots only free up when a thread retires, so after a dispatch
+        // pass nothing more fits until one has.
+        if dispatch && next_wg < num_wgs {
             for eu in eus.iter_mut() {
                 while next_wg < num_wgs && eu.free_slots() >= wg_threads as usize {
                     let wg = next_wg;
@@ -452,6 +463,8 @@ fn run_launch_inner(
             *b = arb.blocked;
         }
 
+        dispatch = !finished.is_empty();
+
         // ---- barrier bookkeeping ----
         // A workgroup can only become releasable on one of this cycle's
         // events (a barrier arrival or a thread retiring while siblings
@@ -490,13 +503,12 @@ fn run_launch_inner(
         // jumped span of cycles) with no issue is charged to exactly one
         // cause per EU. Jumps only happen when no EU issued, so the whole
         // span carries the pre-jump blocking cause.
-        for (eu, b) in eus.iter_mut().zip(&blocked) {
-            let Some(cause) = *b else {
-                eu.stats.issue_cycles += 1;
-                continue;
-            };
-            eu.stats.stall_causes.charge(cause, delta);
-            if cfg.record_issue_log {
+        for (acc, b) in charged.iter_mut().zip(&blocked) {
+            acc[b.map_or(ISSUED, |cause| cause as usize)] += delta;
+        }
+        if cfg.record_issue_log {
+            for (eu, b) in eus.iter_mut().zip(&blocked) {
+                let Some(cause) = *b else { continue };
                 // Interval form for trace export: extend the open span
                 // when the cause continues, else start a new one.
                 match eu.stats.stall_log.last_mut() {
@@ -516,8 +528,12 @@ fn run_launch_inner(
         }
     }
     *clock = now;
-    for eu in &mut eus {
+    for (eu, acc) in eus.iter_mut().zip(&charged) {
         eu.stats.eu_cycles = now - start;
+        eu.stats.issue_cycles = acc[ISSUED];
+        for cause in StallCause::ALL {
+            eu.stats.stall_causes.charge(cause, acc[cause as usize]);
+        }
     }
 
     // ---- aggregate statistics ----

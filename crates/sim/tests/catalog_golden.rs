@@ -15,7 +15,7 @@
 //! The file covers every catalog kernel under every canonical engine at
 //! the paper's configuration, a handful of kernels under the DC2 data
 //! cluster, a perfect L3, a two-wide front end, multi-cycle register-file
-//! timing and recording on, and directed kernels for scheduler edge cases:
+//! timing, recording on and a 16-instruction I$, and directed kernels for scheduler edge cases:
 //! EUs waking on the same cycle, wake-ups on the very next cycle, a
 //! barrier release racing memory completions, and a convergent loop.
 //!
@@ -44,13 +44,14 @@ const CONFIG_KERNELS: [&str; 6] = ["VA", "MM", "Bsearch", "BFS", "Part", "RT-PR-
 const DEBUG_KERNELS: [&str; 3] = ["VA", "Bsearch", "BFS"];
 
 /// Configurations by label. `paper` is [`GpuConfig::paper_default`].
-const CONFIGS: [&str; 6] = [
+const CONFIGS: [&str; 7] = [
     "paper",
     "dc2",
     "perfect_l3",
     "issue2",
     "multicycle",
     "recording",
+    "icache16",
 ];
 
 fn config(label: &str, engine: EngineId) -> GpuConfig {
@@ -61,6 +62,15 @@ fn config(label: &str, engine: EngineId) -> GpuConfig {
         "perfect_l3" => cfg.with_perfect_l3(true),
         "issue2" => cfg.with_issue_per_cycle(2),
         "multicycle" => cfg.with_rf_timing(RfTiming::MultiCycle),
+        // A 16-instruction I$: every kernel evicts, so the FIFO fill order
+        // shows in timing. These lines were generated with every pass
+        // attempting every thread afresh (as recording runs did), since
+        // the older cached-verdict replays skipped I$ probes that an
+        // eviction had turned into misses.
+        "icache16" => GpuConfig {
+            icache_insns: 16,
+            ..cfg
+        },
         "recording" => cfg
             .with_issue_log(true)
             .with_insn_profile(true)
