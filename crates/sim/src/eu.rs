@@ -701,17 +701,35 @@ fn record_issue_event(
 
 /// The slots of mask `m` in rotation order from slot `p`: `p`, `p + 1`,
 /// …, then wrapping round to `0`, …, `p - 1`.
-fn rotation(m: u64, p: usize) -> impl Iterator<Item = usize> {
+fn rotation(m: u64, p: usize) -> Rotation {
     let first = u64::MAX << p;
-    [m & first, m & !first].into_iter().flat_map(|mut lap| {
-        std::iter::from_fn(move || {
-            (lap != 0).then(|| {
-                let i = lap.trailing_zeros() as usize;
-                lap &= lap - 1;
-                i
-            })
-        })
-    })
+    Rotation {
+        lap: m & first,
+        next_lap: m & !first,
+    }
+}
+
+/// Iterator of [`rotation`]: the slots left in this lap, then the next.
+struct Rotation {
+    lap: u64,
+    next_lap: u64,
+}
+
+impl Iterator for Rotation {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.lap == 0 {
+            self.lap = std::mem::take(&mut self.next_lap);
+            if self.lap == 0 {
+                return None;
+            }
+        }
+        let i = self.lap.trailing_zeros() as usize;
+        self.lap &= self.lap - 1;
+        Some(i)
+    }
 }
 
 /// The slots a pass starting at slot `p` visits before slot `i`.
