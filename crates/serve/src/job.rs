@@ -209,7 +209,7 @@ fn split_pack_spec(spec: &str) -> Result<(&str, &str), JobError> {
 /// Lowest accepted `"dc_bandwidth"`, in lines per cycle: a thousand
 /// cycles per line is far outside the paper's DC1/DC2 study, and values
 /// near zero push the data cluster's timing past any representable cycle.
-pub const MIN_DC_BANDWIDTH: f64 = 1.0 / 1024.0;
+const MIN_DC_BANDWIDTH: f64 = 1.0 / 1024.0;
 
 fn parse_overrides(cfg: Option<&Json>) -> Result<ConfigOverrides, JobError> {
     let mut out = ConfigOverrides::default();

@@ -475,9 +475,9 @@ struct IssueMeta {
 ///
 /// Each thread's next instruction is pre-evaluated (see [`prepare`]) only
 /// when its verdict can change — when it is placed and right after it
-/// issues — because nothing else moves it: the zero-mask skip, the exec
-/// mask, the scoreboard and the memory-drain time all depend on the
-/// thread's own state alone. What other threads change — the FPU/EM
+/// issues — because nothing else moves it: the zero-mask skip, the
+/// scoreboard and the memory-drain time all depend on the thread's own
+/// state alone. What other threads change — the FPU/EM
 /// pipe-free times and the I$ contents — is read live at pass time.
 #[derive(Debug)]
 struct SlotState {
@@ -872,22 +872,17 @@ impl Eu {
     }
 
     /// Releases every thread of workgroup `wg` parked at a barrier on this
-    /// EU; true when there was one.
-    pub fn release_barrier(&mut self, wg: usize) -> bool {
-        let mut woke = false;
+    /// EU.
+    pub(crate) fn release_barrier(&mut self, wg: usize) {
         let mut bits = self.st.barrier;
         while bits != 0 {
             let i = bits.trailing_zeros() as usize;
             bits &= bits - 1;
             if self.slots[i].as_ref().is_some_and(|t| t.wg == wg) {
                 self.st.barrier &= !(1 << i);
-                woke = true;
+                self.idle = None;
             }
         }
-        if woke {
-            self.idle = None;
-        }
-        woke
     }
 
     /// One arbitration pass (invoked every visited cycle): issues up to

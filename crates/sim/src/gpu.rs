@@ -397,9 +397,10 @@ fn run_launch_inner(
         .collect();
     let mem_before = mem.stats;
     let start = *clock;
-    let mut slms: Vec<MemoryImage> = Vec::new(); // one per workgroup, indexed by slm_slot
-                                                 // Dense per-workgroup barrier/retirement state (wg ids are assigned
-                                                 // sequentially at dispatch).
+    // One SLM image per workgroup, indexed by `slm_slot`.
+    let mut slms: Vec<MemoryImage> = Vec::new();
+    // Dense per-workgroup barrier/retirement state (wg ids are assigned
+    // sequentially at dispatch).
     let mut wg_state: Vec<WgState> = (0..num_wgs).map(|_| WgState::default()).collect();
     let mut next_wg = 0usize;
     let mut now = start;

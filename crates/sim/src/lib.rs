@@ -71,7 +71,7 @@ pub mod timeline;
 
 pub use config::{CacheConfig, ExecBackend, GpuConfig, MemConfig, RfTiming};
 pub use eu::{
-    ArbResult, Eu, EuStats, HwThread, IssueEvent, StallBreakdown, StallCause, StallSpan, StallStats,
+    Eu, EuStats, HwThread, IssueEvent, StallBreakdown, StallCause, StallSpan, StallStats,
 };
 pub use exec::{execute_instruction, Effect, Executed, ThreadCtx};
 pub use gpu::{arg_base_reg, simulate, simulate_decoded, Gpu, Launch, SimResult, SimulateError};
