@@ -147,16 +147,6 @@ impl CycleBreakdown {
         self.scc += other.scc;
     }
 
-    /// Accumulates `n` repetitions of another breakdown in O(1) — exactly
-    /// equal to calling [`accumulate`](Self::accumulate) `n` times, since
-    /// every field is an integer sum.
-    pub fn accumulate_scaled(&mut self, other: Self, n: u64) {
-        self.baseline += other.baseline * n;
-        self.ivb += other.ivb * n;
-        self.bcc += other.bcc * n;
-        self.scc += other.scc * n;
-    }
-
     /// Fractional cycle reduction of `mode` relative to the Ivy Bridge
     /// baseline — the quantity the paper reports ("over and above the
     /// existing Ivy Bridge optimization", §5.2).

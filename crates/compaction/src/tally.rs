@@ -114,30 +114,6 @@ impl CompactionTally {
         self.add_delta(&TallyDelta::of(mask, dtype));
     }
 
-    /// Adds a run of `n` identical `(mask, dtype)` instructions in O(1).
-    ///
-    /// Divergence arrives in runs — loop bodies re-present the same mask
-    /// for thousands of records — and every tally field is an integer sum,
-    /// so charging the precomputed per-instruction contribution `n` times
-    /// multiplicatively is *exactly* equal to `n` repeated
-    /// [`add`](Self::add) calls, not merely close.
-    pub fn add_run(&mut self, mask: ExecMask, dtype: DataType, n: u64) {
-        self.add_delta_scaled(&TallyDelta::of(mask, dtype), n);
-    }
-
-    /// Adds `n` repetitions of a precomputed contribution in O(1) — the
-    /// run-length counterpart of [`add_delta`](Self::add_delta), identical
-    /// to applying the delta `n` times.
-    pub fn add_delta_scaled(&mut self, d: &TallyDelta, n: u64) {
-        self.cycles.accumulate_scaled(d.cycles, n);
-        self.instructions += n;
-        self.active_channels += d.active_channels * n;
-        self.total_channels += d.total_channels * n;
-        self.buckets[d.bucket] += n;
-        self.bcc_fetches_saved += d.bcc_fetches_saved * n;
-        self.scc_swizzles += d.scc_swizzles * n;
-    }
-
     /// Adds one executed instruction from its precomputed contribution.
     ///
     /// Hot issue paths compute the [`TallyDelta`] once per distinct
@@ -204,7 +180,7 @@ impl CompactionTally {
 /// hot issue path can evaluate the four cycle models, the utilization
 /// bucket, and the swizzle cost once per distinct mask and replay the
 /// result into several tallies.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TallyDelta {
     cycles: CycleBreakdown,
     active_channels: u64,
@@ -238,10 +214,17 @@ impl TallyDelta {
 
 /// Direct-mapped memo over [`TallyDelta::of`].
 ///
-/// The memo is transparent: `delta` always returns exactly
-/// [`TallyDelta::of`]`(mask, dtype)`, whatever the way count and whatever
+/// The memo is transparent: [`delta`](Self::delta) always returns exactly
+/// [`TallyDelta::of`]`(mask, dtype)` and [`charge`](Self::charge) always
+/// equals [`CompactionTally::add`], whatever the way count and whatever
 /// was cached before, so sizing and reuse are pure performance choices.
-/// Collisions just recompute. Two sizes matter in practice:
+/// Collisions just recompute.
+///
+/// Each way is one 16-byte slot: the `(bits, width, dtype)` key next to
+/// the nine per-instruction tally fields, each stored as a byte (the
+/// largest, 32 channels, fits at any legal width). A hit reads one slot
+/// in one cache line, where an unpacked [`TallyDelta`] alone is 72 bytes.
+/// Two sizes matter in practice:
 ///
 /// * the [`Default`] memo ([`TallyMemo::DEFAULT_WAYS`]) — an EU's issue
 ///   path interleaves a handful of threads whose masks repeat, so a few
@@ -249,15 +232,80 @@ impl TallyDelta {
 /// * the analyzer memo ([`TallyMemo::ANALYZER_WAYS`]) — divergence traces
 ///   carry thousands of *distinct* masks (the expanded corpus peaks past
 ///   20k per trace), which thrashes a small memo into recomputing the
-///   four cycle models and the SCC swizzle cost nearly every run. Sized
-///   to the full SIMD16 mask space, misses are collisions only.
+///   four cycle models and the SCC swizzle cost nearly every record.
+///   Sized to the full SIMD16 mask space, misses are collisions only.
 #[derive(Clone, Debug)]
 pub struct TallyMemo {
     /// Right-shift applied to the 32-bit Fibonacci product: keeps the top
     /// `log2(ways)` bits, so the table length is always a power of two.
     shift: u32,
-    keys: Vec<Option<(u32, u32, DataType)>>,
-    deltas: Vec<TallyDelta>,
+    slots: Vec<MemoSlot>,
+}
+
+/// One memo way: the key and the packed [`TallyDelta`] of that key.
+#[derive(Clone, Copy, Debug, Default)]
+#[repr(C, align(16))]
+struct MemoSlot {
+    bits: u32,
+    /// SIMD width; 0 marks an empty way (no mask is 0 channels wide).
+    width: u8,
+    /// `DataType` discriminant.
+    dtype: u8,
+    /// Cycles under baseline, Ivy Bridge, BCC and SCC.
+    cycles: [u8; 4],
+    active_channels: u8,
+    total_channels: u8,
+    /// Index into [`UtilBucket::ALL`].
+    bucket: u8,
+    bcc_fetches_saved: u8,
+    scc_swizzles: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<MemoSlot>() == 16);
+
+impl MemoSlot {
+    /// Computes and packs the slot of `(mask, dtype)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a field exceeds a byte, which no width up to 32 can
+    /// produce (at most 16 double-pumped waves, 32 channels or swizzles).
+    fn fill(mask: ExecMask, dtype: DataType) -> Self {
+        let d = TallyDelta::of(mask, dtype);
+        let byte = |v: u64| u8::try_from(v).expect("tally memo field exceeds a byte");
+        Self {
+            bits: mask.bits(),
+            width: byte(u64::from(mask.width())),
+            dtype: dtype as u8,
+            cycles: [
+                byte(d.cycles.baseline),
+                byte(d.cycles.ivb),
+                byte(d.cycles.bcc),
+                byte(d.cycles.scc),
+            ],
+            active_channels: byte(d.active_channels),
+            total_channels: byte(d.total_channels),
+            bucket: byte(d.bucket as u64),
+            bcc_fetches_saved: byte(d.bcc_fetches_saved),
+            scc_swizzles: byte(d.scc_swizzles),
+        }
+    }
+
+    fn delta(&self) -> TallyDelta {
+        TallyDelta {
+            cycles: CycleBreakdown {
+                baseline: u64::from(self.cycles[0]),
+                ivb: u64::from(self.cycles[1]),
+                bcc: u64::from(self.cycles[2]),
+                scc: u64::from(self.cycles[3]),
+            },
+            active_channels: u64::from(self.active_channels),
+            total_channels: u64::from(self.total_channels),
+            bucket: usize::from(self.bucket),
+            bcc_fetches_saved: u64::from(self.bcc_fetches_saved),
+            scc_swizzles: u64::from(self.scc_swizzles),
+        }
+    }
 }
 
 impl Default for TallyMemo {
@@ -271,8 +319,8 @@ impl TallyMemo {
     /// a few resident threads.
     pub const DEFAULT_WAYS: usize = 64;
     /// Way count for whole-trace analysis: one way per SIMD16 mask bit
-    /// pattern (~5 MiB of deltas), so working sets of tens of thousands
-    /// of distinct masks stay resident.
+    /// pattern (1 MiB of slots), so working sets of tens of thousands of
+    /// distinct masks stay resident.
     pub const ANALYZER_WAYS: usize = 1 << 16;
 
     /// A memo with `ways` slots, rounded up to a power of two (minimum 2,
@@ -281,24 +329,47 @@ impl TallyMemo {
         let ways = ways.next_power_of_two().max(2);
         Self {
             shift: 32 - ways.trailing_zeros(),
-            keys: vec![None; ways],
-            deltas: vec![TallyDelta::default(); ways],
+            slots: vec![MemoSlot::default(); ways],
         }
+    }
+
+    /// The slot of `(mask, dtype)`, filled on a miss.
+    #[inline]
+    fn slot(&mut self, mask: ExecMask, dtype: DataType) -> &MemoSlot {
+        let (bits, width, code) = (mask.bits(), mask.width(), dtype as u8);
+        // Fibonacci hashing over all three key fields: the multiply
+        // spreads low-bit differences into the kept top bits, so masks
+        // differing only in width or dtype land in different ways.
+        let h = bits ^ (width << 16) ^ (u32::from(code) << 22);
+        let way = (h.wrapping_mul(0x9E37_79B9) >> self.shift) as usize;
+        let slot = &mut self.slots[way];
+        if slot.bits != bits || u32::from(slot.width) != width || slot.dtype != code {
+            *slot = MemoSlot::fill(mask, dtype);
+        }
+        slot
     }
 
     /// The tally contribution of `(mask, dtype)`, computed or replayed.
     pub fn delta(&mut self, mask: ExecMask, dtype: DataType) -> TallyDelta {
-        let key = (mask.bits(), mask.width(), dtype);
-        // Fibonacci hashing over all three key fields: the multiply
-        // spreads low-bit differences into the kept top bits, so masks
-        // differing only in width or dtype land in different ways.
-        let h = key.0 ^ (key.1 << 16) ^ ((dtype as u32) << 22);
-        let way = (h.wrapping_mul(0x9E37_79B9) >> self.shift) as usize;
-        if self.keys[way] != Some(key) {
-            self.deltas[way] = TallyDelta::of(mask, dtype);
-            self.keys[way] = Some(key);
-        }
-        self.deltas[way]
+        self.slot(mask, dtype).delta()
+    }
+
+    /// Adds one `(mask, dtype)` instruction to `tally` straight from its
+    /// slot — identical to [`CompactionTally::add`], without unpacking a
+    /// [`TallyDelta`].
+    #[inline]
+    pub fn charge(&mut self, tally: &mut CompactionTally, mask: ExecMask, dtype: DataType) {
+        let s = self.slot(mask, dtype);
+        tally.cycles.baseline += u64::from(s.cycles[0]);
+        tally.cycles.ivb += u64::from(s.cycles[1]);
+        tally.cycles.bcc += u64::from(s.cycles[2]);
+        tally.cycles.scc += u64::from(s.cycles[3]);
+        tally.instructions += 1;
+        tally.active_channels += u64::from(s.active_channels);
+        tally.total_channels += u64::from(s.total_channels);
+        tally.buckets[usize::from(s.bucket)] += 1;
+        tally.bcc_fetches_saved += u64::from(s.bcc_fetches_saved);
+        tally.scc_swizzles += u64::from(s.scc_swizzles);
     }
 }
 
@@ -422,43 +493,69 @@ mod tests {
         }
     }
 
-    #[test]
-    fn add_run_equals_repeated_adds() {
-        for bits in [0xFFFFu32, 0xF0F0, 0xAAAA, 0x0001, 0x0000] {
-            let m = ExecMask::new(bits, 16);
-            for dtype in [DataType::F, DataType::Df, DataType::Uw] {
-                let mut runs = CompactionTally::new();
-                runs.add_run(m, dtype, 7);
-                let mut scalar = CompactionTally::new();
-                for _ in 0..7 {
-                    scalar.add(m, dtype);
-                }
-                assert_eq!(runs, scalar, "mask {bits:#06x} {dtype:?}");
+    /// Checks `delta` and `charge` of every memo against the direct
+    /// computation for `m` under each of `dtypes`, back to back, so keys
+    /// that differ only in dtype (or, across calls, only in width) meet
+    /// in the small memos' ways.
+    fn assert_transparent(memos: &mut [TallyMemo], m: ExecMask, dtypes: &[DataType]) {
+        for &dtype in dtypes {
+            let direct = TallyDelta::of(m, dtype);
+            let mut added = CompactionTally::new();
+            added.add(m, dtype);
+            for memo in memos.iter_mut() {
+                assert_eq!(memo.delta(m, dtype), direct, "delta of {m:?} {dtype:?}");
+                let mut charged = CompactionTally::new();
+                memo.charge(&mut charged, m, dtype);
+                assert_eq!(charged, added, "charge of {m:?} {dtype:?}");
             }
         }
-        let mut zero = CompactionTally::new();
-        zero.add_run(ExecMask::all(16), DataType::F, 0);
-        assert_eq!(zero, CompactionTally::new(), "zero-length run is a no-op");
     }
 
     #[test]
-    fn memo_is_transparent_at_any_size_and_state() {
-        // Stream a working set far past the small memo's way count
-        // through memos of several sizes (including the pathological
-        // 2-way one) twice over, comparing every delta against a direct
-        // recompute by applying both to tallies.
-        for ways in [1, 2, 64, TallyMemo::ANALYZER_WAYS] {
-            let mut memo = TallyMemo::with_ways(ways);
-            for pass in 0..2 {
-                for i in 0..1000u32 {
-                    let bits = i.wrapping_mul(0x9E37).wrapping_add(pass) & 0xFFFF;
-                    let m = ExecMask::new(bits, 16);
-                    let dtype = if i % 3 == 0 { DataType::F } else { DataType::D };
-                    let mut via_memo = CompactionTally::new();
-                    via_memo.add_delta(&memo.delta(m, dtype));
-                    let mut direct = CompactionTally::new();
-                    direct.add(m, dtype);
-                    assert_eq!(via_memo, direct, "ways {ways} pass {pass} mask {bits:#06x}");
+    fn memo_is_transparent_over_the_simd16_mask_space() {
+        // Every SIMD16 bit pattern at widths 8 and 16, through a memo that
+        // holds the whole space and through small ones the stream evicts
+        // constantly, so both fills and hits are checked against a direct
+        // recompute.
+        let mut memos = [
+            TallyMemo::with_ways(TallyMemo::ANALYZER_WAYS),
+            TallyMemo::default(),
+            TallyMemo::with_ways(2),
+        ];
+        let dtypes = [DataType::F, DataType::Df, DataType::Uw, DataType::B];
+        for bits in 0..=0xFFFFu32 {
+            for width in [8, 16] {
+                assert_transparent(&mut memos, ExecMask::new(bits, width), &dtypes);
+            }
+        }
+    }
+
+    #[test]
+    fn memo_is_transparent_at_simd32_and_narrow_widths() {
+        // SIMD32 with every dtype reaches the largest per-field values a
+        // slot stores (64-bit types double-pump to 16 waves; 32 channels).
+        // Two passes, so the second replays whatever the first cached.
+        let mut memos = [
+            TallyMemo::with_ways(1),
+            TallyMemo::default(),
+            TallyMemo::with_ways(TallyMemo::ANALYZER_WAYS),
+        ];
+        let edges = [0, u32::MAX, 0x5555_5555, 0xAAAA_AAAA, 0xFFFF, 0x8000_0001];
+        for _pass in 0..2 {
+            for edge in edges {
+                assert_transparent(&mut memos, ExecMask::new(edge, 32), &DataType::ALL);
+            }
+            let mut bits = 0x1234_5678u32;
+            for _ in 0..2000 {
+                // xorshift32: a fixed pseudo-random SIMD32 sample.
+                bits ^= bits << 13;
+                bits ^= bits >> 17;
+                bits ^= bits << 5;
+                assert_transparent(&mut memos, ExecMask::new(bits, 32), &DataType::ALL);
+            }
+            for b in 0..16 {
+                for width in [1, 2, 4] {
+                    assert_transparent(&mut memos, ExecMask::new(b, width), &DataType::ALL);
                 }
             }
         }

@@ -36,6 +36,21 @@ pub enum DataType {
 }
 
 impl DataType {
+    /// Every data type, in declaration order.
+    pub const ALL: [DataType; 11] = [
+        Self::Ub,
+        Self::B,
+        Self::Uw,
+        Self::W,
+        Self::Hf,
+        Self::Ud,
+        Self::D,
+        Self::F,
+        Self::Uq,
+        Self::Q,
+        Self::Df,
+    ];
+
     /// Size of one element in bytes.
     pub fn size_bytes(self) -> u32 {
         match self {

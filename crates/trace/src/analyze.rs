@@ -5,7 +5,7 @@
 //! / BCC / SCC cycle models and report savings. This is a pure function of
 //! the trace — the same arithmetic the simulator applies online.
 
-use crate::format::{Trace, TraceIoError};
+use crate::format::{Trace, TraceIoError, TraceRecord};
 use crate::pack::CorpusPack;
 use crate::source::{for_each_run, SliceSource, TraceSource};
 use iwc_compaction::{
@@ -21,10 +21,10 @@ pub struct TraceReport {
     pub name: String,
     /// Full compaction accounting.
     pub tally: CompactionTally,
-    /// Number of maximal `(mask, dtype)` runs the record stream folded
-    /// into — `instructions / runs` is the mean run length, the direct
-    /// predictor of how much the run-length fast path saves. Reports
-    /// serialized before this field existed deserialize to 0.
+    /// Number of maximal `(mask, dtype)` runs in the record stream, as
+    /// [`for_each_run`] groups them — `instructions / runs` is the mean
+    /// run length, which says how well an RLE pack compresses the trace.
+    /// Reports serialized before this field existed deserialize to 0.
     #[serde(default)]
     pub runs: u64,
 }
@@ -71,38 +71,48 @@ impl TraceReport {
 /// Analyzes a streaming source chunk by chunk — the core entry point;
 /// peak memory is O(chunk) whatever the trace length.
 ///
-/// Records are folded into maximal `(mask, dtype)` runs first
-/// ([`for_each_run`]) and each run is charged multiplicatively through a
-/// [`TallyMemo`], so the four cycle models and the SCC swizzle cost are
-/// evaluated once per *distinct mask in the working set* instead of once
-/// per record. Every tally field is an integer sum, so the result is
-/// exactly equal to the per-record accounting — the scalar path survives
-/// as [`CompactionTally::add`] and the differential tests pin the
-/// equivalence.
+/// Every record is charged once through a [`TallyMemo`], so the four cycle
+/// models and the SCC swizzle cost are evaluated once per *distinct mask
+/// in the working set*; a memo hit adds the slot's nine byte fields to the
+/// tally. The memo is transparent, so the result is exactly the
+/// per-record [`CompactionTally::add`] accounting — the differential tests
+/// pin the equivalence. Runs are counted in the same pass, one compare
+/// per record, and equal [`for_each_run`]'s count.
 ///
 /// # Errors
 ///
 /// Propagates stream failures (unreadable or malformed sources).
 pub fn analyze_source(src: &mut dyn TraceSource) -> Result<TraceReport, TraceIoError> {
     // Divergence traces carry tens of thousands of distinct masks with a
-    // mean run length near 1 on the synthetic corpus, so the memo — not
-    // the run fold — decides whether the cycle models are evaluated per
-    // run or per distinct mask. One analyzer-sized memo per thread,
-    // reused across traces: keys are (mask, dtype) alone, so cross-trace
-    // reuse is sound (the memo is transparent by contract), and the
-    // ~6 MiB table is paid once per worker instead of zeroed per trace.
+    // mean run length near 1 on the synthetic corpus, so the memo decides
+    // whether the cycle models are evaluated per record or per distinct
+    // mask. One analyzer-sized memo per thread, reused across traces:
+    // keys are (mask, dtype) alone, so cross-trace reuse is sound (the
+    // memo is transparent by contract), and the 1 MiB table is paid once
+    // per worker instead of zeroed per trace.
     thread_local! {
         static MEMO: std::cell::RefCell<TallyMemo> =
             std::cell::RefCell::new(TallyMemo::with_ways(TallyMemo::ANALYZER_WAYS));
     }
     let name = src.name().to_owned();
     let mut tally = CompactionTally::new();
-    let runs = MEMO.with(|memo| {
+    let mut runs = 0u64;
+    // Width 0 is never a legal record, so the first record opens a run.
+    let mut prev = TraceRecord {
+        bits: 0,
+        width: 0,
+        dtype: iwc_isa::types::DataType::F,
+    };
+    MEMO.with(|memo| {
         let memo = &mut *memo.borrow_mut();
-        for_each_run(src, |r, n| {
-            let d = memo.delta(r.mask(), r.dtype);
-            tally.add_delta_scaled(&d, n);
-        })
+        while let Some(chunk) = src.next_chunk()? {
+            for &r in chunk {
+                runs += u64::from(r != prev);
+                prev = r;
+                memo.charge(&mut tally, r.mask(), r.dtype);
+            }
+        }
+        Ok::<_, TraceIoError>(())
     })?;
     Ok(TraceReport { name, tally, runs })
 }
@@ -335,8 +345,7 @@ pub fn corpus_snapshot(reports: &[TraceReport]) -> iwc_telemetry::TelemetrySnaps
     snap.set_counter("corpus/traces", reports.len() as u64);
     snap.publish("corpus", &total);
     // Run-length coherence of the analyzed streams: records / runs is the
-    // mean run length, i.e. how much the multiplicative tally fast path
-    // collapsed the per-record work.
+    // mean run length, i.e. how far an RLE pack collapses the payload.
     snap.set_counter("trace/rle/runs", runs);
     snap.set_counter("trace/rle/records", total.instructions);
     snap
@@ -394,10 +403,10 @@ mod tests {
     }
 
     #[test]
-    fn run_length_analysis_matches_scalar_reference() {
-        // The run-length fast path must be value-identical to per-record
-        // accounting on every corpus profile — the whole point of the
-        // multiplicative charge is that it is exact, not approximate.
+    fn memo_analysis_matches_scalar_reference() {
+        // The memoized charge must be value-identical to per-record
+        // accounting on every corpus profile: the memo is exact, not
+        // approximate.
         let profiles = crate::synth::corpus();
         for p in &profiles {
             let fast = analyze_source(&mut p.source(300)).unwrap();

@@ -276,19 +276,7 @@ mod tests {
     #[test]
     fn all_dtypes_roundtrip() {
         let mut t = Trace::new("types");
-        for d in [
-            DataType::Ub,
-            DataType::B,
-            DataType::Uw,
-            DataType::W,
-            DataType::Hf,
-            DataType::Ud,
-            DataType::D,
-            DataType::F,
-            DataType::Uq,
-            DataType::Q,
-            DataType::Df,
-        ] {
+        for d in DataType::ALL {
             t.push(ExecMask::all(16), d);
         }
         let mut buf = Vec::new();

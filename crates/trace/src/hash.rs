@@ -38,8 +38,7 @@ impl Fnv1a {
     /// Absorbs `bytes`.
     pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
+            self.0 = fnv_step(self.0, b);
         }
     }
 
@@ -55,6 +54,12 @@ impl Default for Fnv1a {
     }
 }
 
+/// One FNV-1a round: xor in a byte, multiply by the prime.
+#[inline(always)]
+fn fnv_step(h: u64, b: u8) -> u64 {
+    (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+}
+
 /// One-shot FNV-1a over a byte slice.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
@@ -64,7 +69,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Incremental content hasher over a record stream — the streaming
 /// counterpart of [`trace_hash`], used by the pack writer and reader to
-/// hash traces chunk by chunk without materializing them.
+/// hash traces record by record as they are encoded or decoded.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RecordHasher(Fnv1a);
 
@@ -74,15 +79,23 @@ impl RecordHasher {
         Self(Fnv1a::new())
     }
 
-    /// Absorbs one record.
+    /// Absorbs one record: its four bit bytes (LE), the width, then the
+    /// dtype's `Debug` bytes, as straight-line FNV-1a rounds.
+    #[inline]
     pub fn push(&mut self, r: &TraceRecord) {
+        let [b0, b1, b2, b3] = r.bits.to_le_bytes();
         let name = dtype_debug_bytes(r.dtype);
-        let mut buf = [0u8; 16];
-        buf[..4].copy_from_slice(&r.bits.to_le_bytes());
-        buf[4] = r.width;
-        let used = 5 + name.len();
-        buf[5..used].copy_from_slice(name);
-        self.0.write(&buf[..used]);
+        let mut h = self.0 .0;
+        h = fnv_step(h, b0);
+        h = fnv_step(h, b1);
+        h = fnv_step(h, b2);
+        h = fnv_step(h, b3);
+        h = fnv_step(h, r.width);
+        h = fnv_step(h, name[0]);
+        if let [_, second] = name {
+            h = fnv_step(h, *second);
+        }
+        self.0 .0 = h;
     }
 
     /// Absorbs a chunk of records.
@@ -98,12 +111,13 @@ impl RecordHasher {
     }
 }
 
-/// The `Debug` rendering of each dtype as static bytes. The hash
-/// encoding predates this table (module docs: byte-compatible with the
-/// original `write!("{:?}")` form), so every arm must match `Debug`
-/// exactly — asserted by `debug_byte_table_matches_debug`. A lookup
-/// beats the formatting machinery by an order of magnitude on the
-/// hashing hot path (30M records per corpus pack scan).
+/// The `Debug` rendering of each dtype as static bytes: one or two
+/// bytes, never empty. The hash encoding predates this table (module
+/// docs: byte-compatible with the original `write!("{:?}")` form), so
+/// every arm must match `Debug` exactly — asserted by
+/// `debug_byte_table_matches_debug`. A lookup beats the formatting
+/// machinery by an order of magnitude on the hashing hot path (30M
+/// records per corpus pack scan).
 fn dtype_debug_bytes(d: DataType) -> &'static [u8] {
     match d {
         DataType::Ub => b"Ub",
@@ -178,40 +192,63 @@ mod tests {
         assert_ne!(trace_hash(&a), trace_hash(&d));
     }
 
-    const ALL_DTYPES: [DataType; 11] = [
-        DataType::Ub,
-        DataType::B,
-        DataType::Uw,
-        DataType::W,
-        DataType::Hf,
-        DataType::Ud,
-        DataType::D,
-        DataType::F,
-        DataType::Uq,
-        DataType::Q,
-        DataType::Df,
-    ];
+    #[test]
+    fn push_matches_the_documented_byte_encoding() {
+        // The straight-line `push` must absorb exactly the documented
+        // bytes: bits (LE u32), width, then the dtype's Debug form.
+        let edges = [
+            0,
+            1,
+            0x8000_0000,
+            u32::MAX,
+            0xAAAA_AAAA,
+            0xFFFF,
+            0x00FF_00FF,
+        ];
+        for d in DataType::ALL {
+            for width in [1u8, 4, 8, 16, 32] {
+                for bits in edges {
+                    let r = TraceRecord {
+                        bits,
+                        width,
+                        dtype: d,
+                    };
+                    let mut bytes = bits.to_le_bytes().to_vec();
+                    bytes.push(width);
+                    bytes.extend_from_slice(format!("{d:?}").as_bytes());
+                    // Chain from a non-basis state too, as mid-stream.
+                    for seed in [&b""[..], b"prefix"] {
+                        let mut want = Fnv1a::new();
+                        want.write(seed);
+                        want.write(&bytes);
+                        let mut got = RecordHasher(Fnv1a::new());
+                        got.0.write(seed);
+                        got.push(&r);
+                        assert_eq!(got.finish(), want.finish(), "{d:?} w{width} {bits:#x}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
-    fn all_dtypes_encode_within_the_stack_buffer() {
-        // RecordHasher packs bits+width+dtype-Debug into 16 bytes; every
-        // dtype's Debug form must fit (longest is 2 chars).
-        for d in ALL_DTYPES {
-            let mut h = RecordHasher::new();
-            h.push(&TraceRecord {
-                bits: 1,
-                width: 4,
-                dtype: d,
-            });
-            let _ = h.finish();
-        }
+    fn trace_hash_is_pinned() {
+        // Every pack index and results-cache key embeds this hash; a
+        // change to the encoding would silently re-key all of them.
+        let mut t = Trace::new("pinned");
+        t.push(ExecMask::new(0xAAAA, 16), DataType::F);
+        t.push(ExecMask::new(0x0F, 8), DataType::Df);
+        t.push(ExecMask::all(32), DataType::Ud);
+        t.push(ExecMask::new(0b1010, 4), DataType::Uw);
+        t.push(ExecMask::new(1, 1), DataType::B);
+        assert_eq!(trace_hash(&t), 0x66a7_3a55_e87d_a231);
     }
 
     #[test]
     fn debug_byte_table_matches_debug() {
         // The static table IS the hash encoding; drifting from the Debug
         // rendering would silently change every content hash.
-        for d in ALL_DTYPES {
+        for d in DataType::ALL {
             assert_eq!(
                 dtype_debug_bytes(d),
                 format!("{d:?}").as_bytes(),

@@ -44,8 +44,9 @@
 //! (repeat below 2, run past the record count, trailing or truncated
 //! payload bytes), or a content-hash mismatch — surfaces as
 //! [`TraceIoError::Malformed`]; the reader never panics and never
-//! silently truncates a stream. Hashes are verified incrementally while
-//! streaming, so verification costs no extra pass.
+//! silently truncates a stream. Each record is hashed as it is decoded
+//! and the hash checked at end of stream, so verification costs no extra
+//! pass.
 
 use crate::format::{
     record_from_wire, record_to_wire, Trace, TraceIoError, TraceRecord, RECORD_WIRE_BYTES,
@@ -495,9 +496,10 @@ impl<R: Read + Seek> CorpusPack<R> {
 }
 
 /// [`TraceSource`] over one pack entry's payload run. Chunks are decoded
-/// through the shared `IWCT` record validation and hashed incrementally;
-/// the final `None` is withheld until the computed hash matches the index
-/// (mismatch → [`TraceIoError::Malformed`]).
+/// through the shared `IWCT` record validation, and each record is hashed
+/// as it is decoded (each copy of an RLE run as it is expanded); the final
+/// `None` is withheld until the computed hash matches the index (mismatch
+/// → [`TraceIoError::Malformed`]).
 pub struct PackTraceReader<'a, R: Read + Seek> {
     r: &'a mut R,
     entry: PackEntry,
@@ -515,6 +517,22 @@ pub struct PackTraceReader<'a, R: Read + Seek> {
     stash_pos: usize,
     /// A decoded run not yet fully expanded into yielded chunks.
     pending: Option<(TraceRecord, u64)>,
+}
+
+/// Appends as many of `n` copies of `rec` as the chunk has room for to
+/// `buf`, hashing each copy; returns the copies left over, if any.
+fn expand_run(
+    buf: &mut Vec<TraceRecord>,
+    hasher: &mut RecordHasher,
+    rec: TraceRecord,
+    n: u64,
+) -> Option<(TraceRecord, u64)> {
+    let take = n.min((CHUNK_RECORDS - buf.len()) as u64);
+    for _ in 0..take {
+        hasher.push(&rec);
+    }
+    buf.resize(buf.len() + take as usize, rec);
+    (n > take).then_some((rec, n - take))
 }
 
 /// Stash refill granularity for RLE payloads, matching the plain path's
@@ -555,66 +573,97 @@ impl<R: Read + Seek> PackTraceReader<'_, R> {
     }
 
     /// Decodes RLE items into `buf` until the chunk is full or the payload
-    /// runs dry, carrying partially expanded runs in `pending`.
+    /// runs dry, carrying partially expanded runs in `pending`. Every
+    /// record is hashed as it lands in `buf`, each copy of a run included.
+    /// The hash state rides in a local so its chain stays in a register;
+    /// an error abandons the stream, and the state with it.
     fn next_chunk_rle(&mut self) -> Result<(), TraceIoError> {
+        let mut hasher = self.hasher;
         while self.buf.len() < CHUNK_RECORDS {
             if let Some((rec, n)) = self.pending.take() {
-                let space = (CHUNK_RECORDS - self.buf.len()) as u64;
-                let take = n.min(space);
-                self.buf.resize(self.buf.len() + take as usize, rec);
-                if n > take {
-                    self.pending = Some((rec, n - take));
-                }
+                self.pending = expand_run(&mut self.buf, &mut hasher, rec, n);
                 continue;
             }
+            // Stash at least one whole item, then decode every whole item
+            // the stash holds in one tight pass.
             if !self.fill_stash(RECORD_WIRE_BYTES)? {
                 break;
             }
-            let base = self.stash_pos;
-            let mut head: [u8; RECORD_WIRE_BYTES] = self.stash[base..base + RECORD_WIRE_BYTES]
-                .try_into()
-                .expect("exact slice");
-            let already = self.yielded + self.buf.len() as u64 + self.pending.map_or(0, |(_, n)| n);
-            if head[4] & RLE_WIDTH_FLAG != 0 {
-                if !self.fill_stash(RLE_ITEM_BYTES)? {
-                    unreachable!("fill_stash cannot report clean EOF with bytes stashed");
-                }
-                let base = self.stash_pos;
-                head[4] &= !RLE_WIDTH_FLAG;
-                let rec = record_from_wire(&head)?;
-                let count = u64::from(u32::from_le_bytes(
-                    self.stash[base + RECORD_WIRE_BYTES..base + RLE_ITEM_BYTES]
-                        .try_into()
-                        .expect("exact slice"),
-                ));
-                if count < 2 {
-                    return Err(TraceIoError::Malformed(format!(
-                        "trace '{}': RLE repeat count {count} below 2",
-                        self.entry.name
-                    )));
-                }
-                if count > self.entry.records - already {
-                    return Err(TraceIoError::Malformed(format!(
-                        "trace '{}': RLE run of {count} records overruns the \
-                         record count {}",
-                        self.entry.name, self.entry.records
-                    )));
-                }
-                self.stash_pos += RLE_ITEM_BYTES;
-                self.pending = Some((rec, count));
-            } else {
-                if already >= self.entry.records {
-                    return Err(TraceIoError::Malformed(format!(
-                        "trace '{}': payload continues past the record count {}",
-                        self.entry.name, self.entry.records
-                    )));
-                }
-                let rec = record_from_wire(&head)?;
-                self.stash_pos += RECORD_WIRE_BYTES;
-                self.buf.push(rec);
+            if self.stash[self.stash_pos + 4] & RLE_WIDTH_FLAG != 0
+                && !self.fill_stash(RLE_ITEM_BYTES)?
+            {
+                unreachable!("fill_stash cannot report clean EOF with bytes stashed");
             }
+            self.decode_stashed(&mut hasher)?;
         }
+        self.hasher = hasher;
         Ok(())
+    }
+
+    /// Decodes the whole items at the front of the stash into `buf`,
+    /// stopping when the chunk is full, a run is left `pending`, or the
+    /// next item straddles the end of the stash.
+    fn decode_stashed(&mut self, hasher: &mut RecordHasher) -> Result<(), TraceIoError> {
+        let name = &self.entry.name;
+        let records = self.entry.records;
+        let stash = &self.stash[self.stash_pos..];
+        let buf = &mut self.buf;
+        // No run is pending here: one left over ends the caller's loop.
+        let mut already = self.yielded + buf.len() as u64;
+        let mut pos = 0;
+        let decoded = loop {
+            if buf.len() >= CHUNK_RECORDS {
+                break Ok(());
+            }
+            let Some(head) = stash.get(pos..pos + RECORD_WIRE_BYTES) else {
+                break Ok(());
+            };
+            let mut head: [u8; RECORD_WIRE_BYTES] = head.try_into().expect("exact slice");
+            if head[4] & RLE_WIDTH_FLAG == 0 {
+                if already >= records {
+                    break Err(TraceIoError::Malformed(format!(
+                        "trace '{name}': payload continues past the record count {records}"
+                    )));
+                }
+                let rec = match record_from_wire(&head) {
+                    Ok(rec) => rec,
+                    Err(e) => break Err(e),
+                };
+                hasher.push(&rec);
+                buf.push(rec);
+                already += 1;
+                pos += RECORD_WIRE_BYTES;
+                continue;
+            }
+            let Some(count) = stash.get(pos + RECORD_WIRE_BYTES..pos + RLE_ITEM_BYTES) else {
+                break Ok(());
+            };
+            let count = u64::from(u32::from_le_bytes(count.try_into().expect("exact slice")));
+            head[4] &= !RLE_WIDTH_FLAG;
+            let rec = match record_from_wire(&head) {
+                Ok(rec) => rec,
+                Err(e) => break Err(e),
+            };
+            if count < 2 {
+                break Err(TraceIoError::Malformed(format!(
+                    "trace '{name}': RLE repeat count {count} below 2"
+                )));
+            }
+            if count > records - already {
+                break Err(TraceIoError::Malformed(format!(
+                    "trace '{name}': RLE run of {count} records overruns the \
+                     record count {records}"
+                )));
+            }
+            pos += RLE_ITEM_BYTES;
+            already += count;
+            if let Some(left) = expand_run(buf, hasher, rec, count) {
+                self.pending = Some(left);
+                break Ok(());
+            }
+        };
+        self.stash_pos += pos;
+        decoded
     }
 }
 
@@ -670,12 +719,15 @@ impl<R: Read + Seek> TraceSource for PackTraceReader<'_, R> {
             read_exact_or_malformed(self.r, &mut self.stash, "trace payload")?;
             self.buf.clear();
             self.buf.reserve(take);
+            let mut hasher = self.hasher;
             for rec in self.stash.chunks_exact(RECORD_WIRE_BYTES) {
                 let rec: &[u8; RECORD_WIRE_BYTES] = rec.try_into().expect("exact chunks");
-                self.buf.push(record_from_wire(rec)?);
+                let rec = record_from_wire(rec)?;
+                hasher.push(&rec);
+                self.buf.push(rec);
             }
+            self.hasher = hasher;
         }
-        self.hasher.push_all(&self.buf);
         self.yielded += self.buf.len() as u64;
         Ok(Some(&self.buf))
     }

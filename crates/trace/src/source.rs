@@ -101,8 +101,10 @@ impl TraceSource for SliceSource<'_> {
 ///
 /// Divergence arrives in runs — a loop body re-presents the same
 /// `(mask, dtype)` for thousands of consecutive records — and every tally
-/// is an integer sum, so downstream analyzers charge each run
-/// multiplicatively in O(1) instead of per record. Runs span chunk
+/// is an integer sum, so the engine-generic analyzers charge each run
+/// multiplicatively in O(1) instead of per record (the corpus analyzer,
+/// whose traces average 1.25 records a run, charges per record instead;
+/// see [`crate::analyze_source`]). Runs span chunk
 /// boundaries: a run that straddles `next_chunk` calls is reported once,
 /// with its full count, so the grouping is a pure function of the record
 /// stream and independent of [`CHUNK_RECORDS`].
