@@ -3,7 +3,7 @@
 //! evaluate between decode and issue, §2.2).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use iwc_compaction::{execution_cycles, expand, CompactionMode, CompactionTally, SccSchedule};
+use iwc_compaction::{execution_cycles, expand, CompactionTally, EngineId, SccSchedule};
 use iwc_isa::insn::{Instruction, Opcode};
 use iwc_isa::reg::Operand;
 use iwc_isa::{DataType, ExecMask};
@@ -28,12 +28,12 @@ fn recorded_stream(len: usize) -> Vec<(ExecMask, DataType)> {
 fn bench_cycle_models(c: &mut Criterion) {
     let ms = masks();
     let mut g = c.benchmark_group("cycle_model");
-    for mode in CompactionMode::ALL {
-        g.bench_function(mode.label(), |b| {
+    for engine in EngineId::CANONICAL {
+        g.bench_function(&engine.label(), |b| {
             b.iter(|| {
                 let mut total = 0u32;
                 for &m in &ms {
-                    total += execution_cycles(black_box(m), DataType::F, mode);
+                    total += execution_cycles(black_box(m), DataType::F, engine);
                 }
                 total
             })
@@ -69,9 +69,9 @@ fn bench_microop_expansion(c: &mut Criterion) {
     );
     let m = ExecMask::new(0xF0F0, 16);
     let mut g = c.benchmark_group("microop_expand");
-    for mode in CompactionMode::ALL {
-        g.bench_function(mode.label(), |b| {
-            b.iter(|| expand(black_box(&insn), black_box(m), mode))
+    for engine in EngineId::CANONICAL {
+        g.bench_function(&engine.label(), |b| {
+            b.iter(|| expand(black_box(&insn), black_box(m), engine))
         });
     }
     g.finish();

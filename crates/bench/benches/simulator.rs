@@ -1,9 +1,9 @@
 //! Criterion benchmarks of the simulator and trace analyzer throughput:
-//! one divergent kernel simulated under each compaction mode, and trace
+//! one divergent kernel simulated under each canonical engine, and trace
 //! analysis over the synthetic corpus.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use iwc_compaction::CompactionMode;
+use iwc_compaction::EngineId;
 use iwc_sim::GpuConfig;
 use iwc_trace::{analyze, corpus};
 use iwc_workloads::{micro, rodinia};
@@ -12,9 +12,9 @@ fn bench_simulate_modes(c: &mut Criterion) {
     let built = micro::mask_pattern(0xAAAA, 1);
     let mut g = c.benchmark_group("simulate/maskpat_aaaa");
     g.sample_size(10);
-    for mode in CompactionMode::ALL {
-        let cfg = GpuConfig::paper_default().with_compaction(mode);
-        g.bench_function(mode.label(), |b| {
+    for engine in EngineId::CANONICAL {
+        let cfg = GpuConfig::paper_default().with_compaction(engine);
+        g.bench_function(&engine.label(), |b| {
             b.iter(|| built.run(black_box(&cfg)).expect("simulation completes"))
         });
     }

@@ -6,9 +6,8 @@
 //! ```
 //!
 //! Every subcommand dispatches through
-//! [`iwc_bench::experiments::EXPERIMENTS`], the same registry the legacy
-//! per-experiment binaries delegate to, so `iwc fig10` and `fig10` emit
-//! byte-identical stdout.
+//! [`iwc_bench::experiments::EXPERIMENTS`]; this is the repository's only
+//! binary.
 
 use std::process::ExitCode;
 

@@ -9,7 +9,7 @@
 
 use super::Outcome;
 use crate::pct;
-use iwc_compaction::{waves_typed, CompactionMode};
+use iwc_compaction::{execution_cycles, EngineId};
 use iwc_isa::{DataType, ExecMask};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -35,15 +35,15 @@ pub(crate) fn run(_args: &[String]) -> Outcome {
         "dtype", "elem/wave", "base waves", "bcc gain", "scc gain"
     );
     for dt in [DataType::Ub, DataType::Hf, DataType::F, DataType::Df] {
-        let total = |mode: CompactionMode| -> u64 {
+        let total = |engine: EngineId| -> u64 {
             masks
                 .iter()
-                .map(|&m| u64::from(waves_typed(m, dt, mode)))
+                .map(|&m| u64::from(execution_cycles(m, dt, engine)))
                 .sum()
         };
-        let base = total(CompactionMode::IvyBridge);
-        let bcc = total(CompactionMode::Bcc);
-        let scc = total(CompactionMode::Scc);
+        let base = total(EngineId::IVY_BRIDGE);
+        let bcc = total(EngineId::BCC);
+        let scc = total(EngineId::SCC);
         println!(
             "{:<8} {:>10} {:>12} {:>12} {:>12}",
             dt.to_string(),

@@ -9,7 +9,7 @@
 
 use super::Outcome;
 use crate::{pct, trace_len};
-use iwc_compaction::{CompactionMode, EnergyModel};
+use iwc_compaction::{EnergyModel, EngineId};
 use iwc_trace::{analyze, corpus};
 
 pub(crate) fn run(_args: &[String]) -> Outcome {
@@ -23,16 +23,16 @@ pub(crate) fn run(_args: &[String]) -> Outcome {
         let trace = profile.generate(trace_len());
         let report = analyze(&trace);
         let stream: Vec<_> = trace.records.iter().map(|r| (r.mask(), r.dtype)).collect();
-        let base = model.stream_energy(&stream, CompactionMode::IvyBridge);
-        let bcc = model.stream_energy(&stream, CompactionMode::Bcc);
-        let scc = model.stream_energy(&stream, CompactionMode::Scc);
+        let base = model.stream_energy(&stream, EngineId::IVY_BRIDGE);
+        let bcc = model.stream_energy(&stream, EngineId::BCC);
+        let scc = model.stream_energy(&stream, EngineId::SCC);
         println!(
             "{:<22} {:>10} {:>10} {:>10} {:>10} {:>10}",
             profile.name,
             pct(report.simd_efficiency()),
-            pct(report.reduction(CompactionMode::Bcc)),
+            pct(report.reduction(EngineId::BCC)),
             pct(1.0 - bcc / base),
-            pct(report.reduction(CompactionMode::Scc)),
+            pct(report.reduction(EngineId::SCC)),
             pct(1.0 - scc / base),
         );
     }

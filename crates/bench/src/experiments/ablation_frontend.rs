@@ -9,7 +9,7 @@
 
 use super::Outcome;
 use crate::{cycle_reduction, pct, scale};
-use iwc_compaction::CompactionMode;
+use iwc_compaction::EngineId;
 use iwc_sim::GpuConfig;
 use iwc_workloads::micro::pipe_mix;
 
@@ -24,21 +24,21 @@ pub(crate) fn run(_args: &[String]) -> Outcome {
     // 1 — exactly where a 1-wide front end becomes the wall.
     for (label, simd) in [("pipemix-s8", 8u32), ("pipemix-s16", 16)] {
         let built = pipe_mix(0x00F0, simd, scale());
-        let run = |mode: CompactionMode, issue: u32| {
+        let run = |mode: EngineId, issue: u32| {
             let cfg = GpuConfig::paper_default()
                 .with_compaction(mode)
                 .with_issue_per_cycle(issue)
                 .with_dc_bandwidth(2.0); // remove the memory bottleneck
             built.run_checked(&cfg).unwrap_or_else(|e| panic!("{e}"))
         };
-        let base1 = run(CompactionMode::IvyBridge, 1);
-        let base2 = run(CompactionMode::IvyBridge, 2);
+        let base1 = run(EngineId::IVY_BRIDGE, 1);
+        let base2 = run(EngineId::IVY_BRIDGE, 2);
         println!(
             "{label:<16} {:>12} {:>12} {:>12} {:>12}",
-            pct(cycle_reduction(&base1, &run(CompactionMode::Scc, 1))),
-            pct(cycle_reduction(&base2, &run(CompactionMode::Scc, 2))),
-            pct(cycle_reduction(&base1, &run(CompactionMode::Bcc, 1))),
-            pct(cycle_reduction(&base2, &run(CompactionMode::Bcc, 2))),
+            pct(cycle_reduction(&base1, &run(EngineId::SCC, 1))),
+            pct(cycle_reduction(&base2, &run(EngineId::SCC, 2))),
+            pct(cycle_reduction(&base1, &run(EngineId::BCC, 1))),
+            pct(cycle_reduction(&base2, &run(EngineId::BCC, 2))),
         );
     }
     println!(

@@ -13,7 +13,7 @@
 
 use super::Outcome;
 use crate::pct;
-use iwc_compaction::{evaluate_group, waves, CompactionMode};
+use iwc_compaction::{evaluate_group, waves, EngineId};
 use iwc_isa::ExecMask;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -21,17 +21,17 @@ use rand::{Rng, SeedableRng};
 fn group_waves(group: &[ExecMask]) -> (u64, u64, u64) {
     let intra: u64 = group
         .iter()
-        .map(|&m| u64::from(waves(m, CompactionMode::Scc)))
+        .map(|&m| u64::from(waves(m, EngineId::SCC)))
         .sum();
     let base: u64 = group
         .iter()
-        .map(|&m| u64::from(waves(m, CompactionMode::Baseline)))
+        .map(|&m| u64::from(waves(m, EngineId::BASELINE)))
         .sum();
     let merged = iwc_compaction::compact_masks(group);
     let inter: u64 = merged
         .masks
         .iter()
-        .map(|&m| u64::from(waves(m, CompactionMode::Baseline)))
+        .map(|&m| u64::from(waves(m, EngineId::BASELINE)))
         .sum();
     (base, intra, inter)
 }

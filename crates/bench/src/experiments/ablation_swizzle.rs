@@ -10,14 +10,15 @@
 //! and matches full SCC — the cheapest network that loses nothing.
 //!
 //! This is the registry's extensibility proof: the design point exists as
-//! one engine impl plus this descriptor, with no simulator, trace, or
-//! legacy-binary changes.
+//! one engine impl plus this descriptor, with no simulator or trace
+//! changes — the corpus fold accounts the extra engines as cycle columns
+//! of the one [`CompactionTally`].
 
 use super::Outcome;
 use crate::runner;
 use crate::{pct, trace_len};
-use iwc_compaction::{EngineId, SccLimited};
-use iwc_trace::{analyze_corpus_engines, corpus};
+use iwc_compaction::{CompactionTally, EngineId, SccLimited};
+use iwc_trace::{analyze_source_engines, corpus};
 
 pub(crate) fn run(_args: &[String]) -> Outcome {
     println!("== ablation: swizzle-network reach (distance-limited SCC) ==\n");
@@ -35,13 +36,15 @@ pub(crate) fn run(_args: &[String]) -> Outcome {
     }
     println!();
 
-    let profiles = corpus();
-    let reports = analyze_corpus_engines(&profiles, trace_len(), runner::threads(), &ids);
+    let len = trace_len();
+    let reports = runner::parallel_map(&corpus(), |p| {
+        analyze_source_engines(&mut p.source(len), &ids).expect("synthesis cannot fail")
+    });
     let cells = reports.len();
     {
         // Fold the corpus-wide engine accounting into the process registry
         // so the bench report carries a telemetry snapshot (DESIGN.md §7.4).
-        let mut total = iwc_compaction::EngineTally::new(&ids);
+        let mut total = CompactionTally::with_engines(&ids);
         for report in &reports {
             total.merge(&report.tally);
         }

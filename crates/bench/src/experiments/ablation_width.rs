@@ -8,7 +8,7 @@
 
 use super::Outcome;
 use crate::pct;
-use iwc_compaction::{CompactionMode, CompactionTally};
+use iwc_compaction::{CompactionTally, EngineId};
 use iwc_isa::{DataType, ExecMask};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -41,8 +41,8 @@ pub(crate) fn run(_args: &[String]) -> Outcome {
     );
     for width in [8u32, 16, 32] {
         let t = run_width(width, 0.5, 20_000, 7);
-        let bcc = t.reduction_vs_ivb(CompactionMode::Bcc);
-        let scc = t.reduction_vs_ivb(CompactionMode::Scc);
+        let bcc = t.reduction_vs_ivb(EngineId::BCC);
+        let scc = t.reduction_vs_ivb(EngineId::SCC);
         println!(
             "SIMD{width:<4} {:>12} {:>12} {:>12} {:>12}",
             pct(t.simd_efficiency()),

@@ -24,7 +24,7 @@
 
 use super::Outcome;
 use crate::runner::{parse_run_line, results_dir, threads, RunRecord};
-use iwc_compaction::CompactionMode;
+use iwc_compaction::EngineId;
 use iwc_trace::pack::CorpusPack;
 use iwc_trace::synth::DEFAULT_EXPANDED_TRACES;
 use iwc_trace::{analyze_pack_file, corpus_snapshot, store, ResultsCache, TraceReport};
@@ -100,8 +100,8 @@ fn render_report(reports: &[TraceReport]) -> String {
             "{:<32} eff {:>5.1}%  bcc {:>5.1}%  scc {:>5.1}%\n",
             r.name,
             100.0 * r.simd_efficiency(),
-            100.0 * r.reduction(CompactionMode::Bcc),
-            100.0 * r.reduction(CompactionMode::Scc),
+            100.0 * r.reduction(EngineId::BCC),
+            100.0 * r.reduction(EngineId::SCC),
         ));
     }
     let snap = corpus_snapshot(reports);
@@ -113,8 +113,8 @@ fn render_report(reports: &[TraceReport]) -> String {
         "\ncorpus: {} instructions, efficiency {:.1}%, bcc {:.1}%, scc {:.1}%\n",
         snap.counter("corpus/instructions").unwrap_or(0),
         100.0 * total.simd_efficiency(),
-        100.0 * total.reduction_vs_ivb(CompactionMode::Bcc),
-        100.0 * total.reduction_vs_ivb(CompactionMode::Scc),
+        100.0 * total.reduction_vs_ivb(EngineId::BCC),
+        100.0 * total.reduction_vs_ivb(EngineId::SCC),
     ));
     out
 }

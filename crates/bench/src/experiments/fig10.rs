@@ -7,13 +7,13 @@
 use super::Outcome;
 use crate::runner::{self, parallel_map};
 use crate::{bar, pct, run_mode, scale, trace_len};
-use iwc_compaction::{CompactionMode, CompactionTally};
+use iwc_compaction::{CompactionTally, EngineId};
 use iwc_trace::{analyze_corpus, corpus};
 use iwc_workloads::{catalog, Category};
 
 fn print_row(name: &str, tally: &CompactionTally, src: &str) {
-    let bcc = tally.reduction_vs_ivb(CompactionMode::Bcc);
-    let scc = tally.reduction_vs_ivb(CompactionMode::Scc);
+    let bcc = tally.reduction_vs_ivb(EngineId::BCC);
+    let scc = tally.reduction_vs_ivb(EngineId::SCC);
     println!(
         "{name:<22} bcc {} + scc {} = {}  |{}| [{src}]",
         pct(bcc),
@@ -34,7 +34,7 @@ pub(crate) fn run(_args: &[String]) -> Outcome {
 
     let sim_rows = parallel_map(&entries, |entry| {
         let built = (entry.build)(scale());
-        let r = run_mode(&built, CompactionMode::IvyBridge);
+        let r = run_mode(&built, EngineId::IVY_BRIDGE);
         (entry.name, r.compute_tally().clone())
     });
 
@@ -42,15 +42,15 @@ pub(crate) fn run(_args: &[String]) -> Outcome {
     let mut all_scc = Vec::new();
     for (name, t) in &sim_rows {
         print_row(name, t, "sim");
-        all_bcc.push(t.reduction_vs_ivb(CompactionMode::Bcc));
-        all_scc.push(t.reduction_vs_ivb(CompactionMode::Scc));
+        all_bcc.push(t.reduction_vs_ivb(EngineId::BCC));
+        all_scc.push(t.reduction_vs_ivb(EngineId::SCC));
     }
     let reports = analyze_corpus(&profiles, trace_len(), runner::threads());
     crate::telemetry().absorb(&iwc_trace::corpus_snapshot(&reports));
     for report in reports {
         print_row(&report.name, &report.tally, "trace");
-        all_bcc.push(report.reduction(CompactionMode::Bcc));
-        all_scc.push(report.reduction(CompactionMode::Scc));
+        all_bcc.push(report.reduction(EngineId::BCC));
+        all_scc.push(report.reduction(EngineId::SCC));
     }
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     let max = |v: &[f64]| v.iter().cloned().fold(0.0f64, f64::max);

@@ -10,7 +10,7 @@
 use super::Outcome;
 use crate::runner::parallel_map;
 use crate::{cycle_reduction, pct, print_config, scale};
-use iwc_compaction::CompactionMode;
+use iwc_compaction::EngineId;
 use iwc_sim::GpuConfig;
 use iwc_workloads::{raytrace, Built};
 
@@ -47,11 +47,7 @@ pub(crate) fn run(_args: &[String]) -> Outcome {
     );
     let builts = rt_set(scale());
     let cells = builts.len();
-    let modes = [
-        CompactionMode::IvyBridge,
-        CompactionMode::Bcc,
-        CompactionMode::Scc,
-    ];
+    let modes = [EngineId::IVY_BRIDGE, EngineId::BCC, EngineId::SCC];
     let rows = parallel_map(&builts, |built| {
         let sweep = |dc: f64| {
             crate::run_modes_cfg(
@@ -72,8 +68,8 @@ pub(crate) fn run(_args: &[String]) -> Outcome {
             pct(cycle_reduction(&dc1[0], &dc1[2])),
             pct(cycle_reduction(&dc2[0], &dc2[1])),
             pct(cycle_reduction(&dc2[0], &dc2[2])),
-            pct(t.reduction_vs_ivb(CompactionMode::Bcc)),
-            pct(t.reduction_vs_ivb(CompactionMode::Scc)),
+            pct(t.reduction_vs_ivb(EngineId::BCC)),
+            pct(t.reduction_vs_ivb(EngineId::SCC)),
             dc1[0].dc_throughput(),
             dc1[1].dc_throughput(),
             dc1[2].dc_throughput(),

@@ -9,7 +9,7 @@
 use super::Outcome;
 use crate::runner::parallel_map;
 use crate::{cycle_reduction, pct, print_config, scale};
-use iwc_compaction::CompactionMode;
+use iwc_compaction::EngineId;
 use iwc_sim::GpuConfig;
 use iwc_workloads::{rodinia, Built};
 
@@ -32,11 +32,7 @@ pub(crate) fn run(_args: &[String]) -> Outcome {
     );
     let builts = rodinia_set(scale());
     let cells = builts.len();
-    let modes = [
-        CompactionMode::IvyBridge,
-        CompactionMode::Bcc,
-        CompactionMode::Scc,
-    ];
+    let modes = [EngineId::IVY_BRIDGE, EngineId::BCC, EngineId::SCC];
     let rows = parallel_map(&builts, |built| {
         let sweep = |perfect: bool| {
             crate::run_modes_cfg(
@@ -55,8 +51,8 @@ pub(crate) fn run(_args: &[String]) -> Outcome {
             pct(cycle_reduction(&real[0], &real[2])),
             pct(cycle_reduction(&perf[0], &perf[1])),
             pct(cycle_reduction(&perf[0], &perf[2])),
-            pct(t.reduction_vs_ivb(CompactionMode::Bcc)),
-            pct(t.reduction_vs_ivb(CompactionMode::Scc)),
+            pct(t.reduction_vs_ivb(EngineId::BCC)),
+            pct(t.reduction_vs_ivb(EngineId::SCC)),
         )
     });
     for row in rows {

@@ -8,7 +8,7 @@
 use super::Outcome;
 use crate::runner::{self, parallel_map};
 use crate::{bar, run_mode, scale, trace_len};
-use iwc_compaction::CompactionMode;
+use iwc_compaction::EngineId;
 use iwc_trace::{analyze_corpus, corpus};
 use iwc_workloads::catalog;
 
@@ -20,7 +20,7 @@ pub(crate) fn run(_args: &[String]) -> Outcome {
 
     let mut rows: Vec<(String, f64, &'static str)> = parallel_map(&entries, |entry| {
         let built = (entry.build)(scale());
-        let r = run_mode(&built, CompactionMode::IvyBridge);
+        let r = run_mode(&built, EngineId::IVY_BRIDGE);
         (entry.name.to_string(), r.simd_efficiency(), "sim")
     });
     let reports = analyze_corpus(&profiles, trace_len(), runner::threads());

@@ -9,18 +9,18 @@
 
 use super::Outcome;
 use crate::{bar, print_config, run_mode, scale};
-use iwc_compaction::CompactionMode;
+use iwc_compaction::EngineId;
 use iwc_sim::GpuConfig;
 use iwc_workloads::micro::{mask_pattern, FIG8_PATTERNS};
 
 pub(crate) fn run(_args: &[String]) -> Outcome {
     println!("== Fig. 8: relative execution time vs if/else enabled-lane pattern ==\n");
-    print_config(&GpuConfig::paper_default().with_compaction(CompactionMode::IvyBridge));
+    print_config(&GpuConfig::paper_default().with_compaction(EngineId::IVY_BRIDGE));
     let cycles: Vec<(u16, u64)> = FIG8_PATTERNS
         .iter()
         .map(|&pat| {
             let built = mask_pattern(pat, scale());
-            (pat, run_mode(&built, CompactionMode::IvyBridge).cycles)
+            (pat, run_mode(&built, EngineId::IVY_BRIDGE).cycles)
         })
         .collect();
     let base = cycles[0].1 as f64;

@@ -5,7 +5,7 @@
 use super::Outcome;
 use crate::runner::{self, parallel_map};
 use crate::{run_mode, scale, trace_len};
-use iwc_compaction::{CompactionMode, UtilBucket};
+use iwc_compaction::{EngineId, UtilBucket};
 use iwc_trace::{analyze_corpus, corpus};
 use iwc_workloads::{catalog, Category};
 
@@ -34,7 +34,7 @@ pub(crate) fn run(_args: &[String]) -> Outcome {
 
     let sim_rows = parallel_map(&entries, |entry| {
         let built = (entry.build)(scale());
-        let r = run_mode(&built, CompactionMode::IvyBridge);
+        let r = run_mode(&built, EngineId::IVY_BRIDGE);
         (entry.name, r.eu.simd_tally.bucket_fractions())
     });
     for (name, buckets) in &sim_rows {

@@ -15,7 +15,7 @@
 
 use super::Outcome;
 use crate::scale;
-use iwc_compaction::{CompactionMode, EngineRegistry};
+use iwc_compaction::{EngineId, EngineRegistry};
 use iwc_sim::GpuConfig;
 use iwc_workloads::catalog;
 
@@ -88,8 +88,8 @@ pub(crate) fn run(args: &[String]) -> Outcome {
         }
     };
     crate::telemetry().absorb(&r.telemetry);
-    let from = CompactionMode::IvyBridge;
-    let to = CompactionMode::Scc;
+    let from = EngineId::IVY_BRIDGE;
+    let to = EngineId::SCC;
     let program = &built.launch.program;
     let profile = &r.eu.insn_profile;
 

@@ -16,7 +16,7 @@
 //! registered.
 
 use super::Outcome;
-use iwc_compaction::{CompactionMode, EngineId, EngineRegistry};
+use iwc_compaction::{EngineId, EngineRegistry};
 use iwc_sim::{simulate, GpuConfig, Launch, MemoryImage};
 
 struct Options {
@@ -104,8 +104,8 @@ pub(crate) fn run(args: &[String]) -> Outcome {
     let t = result.compute_tally();
     println!(
         "EU-cycle reduction potential: bcc {:.1}%, scc {:.1}%",
-        100.0 * t.reduction_vs_ivb(CompactionMode::Bcc),
-        100.0 * t.reduction_vs_ivb(CompactionMode::Scc)
+        100.0 * t.reduction_vs_ivb(EngineId::BCC),
+        100.0 * t.reduction_vs_ivb(EngineId::SCC)
     );
     if opts.timeline > 0 {
         println!("\nissue timeline (all EUs merged):");

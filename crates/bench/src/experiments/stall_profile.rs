@@ -11,7 +11,7 @@
 
 use super::Outcome;
 use crate::{run_mode, scale};
-use iwc_compaction::CompactionMode;
+use iwc_compaction::EngineId;
 use iwc_workloads::{catalog, Category};
 
 pub(crate) fn run(_args: &[String]) -> Outcome {
@@ -25,7 +25,7 @@ pub(crate) fn run(_args: &[String]) -> Outcome {
             continue;
         }
         let built = (entry.build)(scale());
-        let r = run_mode(&built, CompactionMode::IvyBridge);
+        let r = run_mode(&built, EngineId::IVY_BRIDGE);
         let s = &r.eu.stalls;
         let tot = s.total().max(1) as f64;
         println!(

@@ -8,7 +8,7 @@
 use super::Outcome;
 use crate::runner::parallel_map;
 use crate::{pct, print_config, run_mode, scale};
-use iwc_compaction::{execution_cycles, CompactionMode, EngineId};
+use iwc_compaction::{execution_cycles, EngineId};
 use iwc_isa::{DataType, ExecMask};
 use iwc_sim::GpuConfig;
 use iwc_workloads::micro::nested_branches;
@@ -41,7 +41,7 @@ pub(crate) fn run(_args: &[String]) -> Outcome {
         let masks = leaf_masks(level);
         let base: u64 = masks
             .iter()
-            .map(|&m| u64::from(execution_cycles(m, DataType::F, CompactionMode::Baseline)))
+            .map(|&m| u64::from(execution_cycles(m, DataType::F, EngineId::BASELINE)))
             .sum();
         let cyc = |mode| -> u64 {
             masks
@@ -49,9 +49,9 @@ pub(crate) fn run(_args: &[String]) -> Outcome {
                 .map(|&m| u64::from(execution_cycles(m, DataType::F, mode)))
                 .sum()
         };
-        let ivb = cyc(CompactionMode::IvyBridge);
-        let bcc = cyc(CompactionMode::Bcc);
-        let scc = cyc(CompactionMode::Scc);
+        let ivb = cyc(EngineId::IVY_BRIDGE);
+        let bcc = cyc(EngineId::BCC);
+        let scc = cyc(EngineId::SCC);
         let rel = |saved: u64| saved as f64 / base as f64;
         let examples = match level {
             1 => "5555, AAAA",

@@ -5,7 +5,7 @@
 use super::Outcome;
 use crate::runner::{self, parallel_map};
 use crate::{cycle_reduction, pct, scale, trace_len, MaxAvg};
-use iwc_compaction::CompactionMode;
+use iwc_compaction::EngineId;
 use iwc_sim::GpuConfig;
 use iwc_trace::{analyze_corpus, corpus};
 use iwc_workloads::{catalog, Category};
@@ -23,22 +23,22 @@ pub(crate) fn run(_args: &[String]) -> Outcome {
     // dc2_bcc, dc2_scc] reductions, aggregated in catalog order below.
     let sim_cells = parallel_map(&entries, |entry| {
         let built = (entry.build)(scale());
-        let run = |mode: CompactionMode, dc: f64| {
+        let run = |mode: EngineId, dc: f64| {
             let cfg = GpuConfig::paper_default()
                 .with_compaction(mode)
                 .with_dc_bandwidth(dc);
             crate::run_cfg(&built, &cfg)
         };
-        let base1 = run(CompactionMode::IvyBridge, 1.0);
-        let base2 = run(CompactionMode::IvyBridge, 2.0);
+        let base1 = run(EngineId::IVY_BRIDGE, 1.0);
+        let base2 = run(EngineId::IVY_BRIDGE, 2.0);
         let t = base1.compute_tally();
         [
-            t.reduction_vs_ivb(CompactionMode::Bcc),
-            t.reduction_vs_ivb(CompactionMode::Scc),
-            cycle_reduction(&base1, &run(CompactionMode::Bcc, 1.0)),
-            cycle_reduction(&base1, &run(CompactionMode::Scc, 1.0)),
-            cycle_reduction(&base2, &run(CompactionMode::Bcc, 2.0)),
-            cycle_reduction(&base2, &run(CompactionMode::Scc, 2.0)),
+            t.reduction_vs_ivb(EngineId::BCC),
+            t.reduction_vs_ivb(EngineId::SCC),
+            cycle_reduction(&base1, &run(EngineId::BCC, 1.0)),
+            cycle_reduction(&base1, &run(EngineId::SCC, 1.0)),
+            cycle_reduction(&base2, &run(EngineId::BCC, 2.0)),
+            cycle_reduction(&base2, &run(EngineId::SCC, 2.0)),
         ]
     });
 
@@ -55,8 +55,8 @@ pub(crate) fn run(_args: &[String]) -> Outcome {
         dc2_scc.add(cell[5]);
     }
     for report in analyze_corpus(&profiles, trace_len(), runner::threads()) {
-        tr_bcc.add(report.reduction(CompactionMode::Bcc));
-        tr_scc.add(report.reduction(CompactionMode::Scc));
+        tr_bcc.add(report.reduction(EngineId::BCC));
+        tr_scc.add(report.reduction(EngineId::SCC));
     }
 
     println!(

@@ -8,7 +8,7 @@
 //! ```
 
 use super::Outcome;
-use iwc_compaction::CompactionMode;
+use iwc_compaction::EngineId;
 use iwc_sim::GpuConfig;
 use iwc_trace::{analyze, corpus, Trace};
 use iwc_workloads::catalog;
@@ -132,8 +132,8 @@ pub(crate) fn run(args: &[String]) -> Outcome {
             }
             println!(
                 "EU-cycle reduction over IVB: bcc {:.1}%, scc {:.1}% (+{:.1}% from swizzling)",
-                100.0 * r.reduction(CompactionMode::Bcc),
-                100.0 * r.reduction(CompactionMode::Scc),
+                100.0 * r.reduction(EngineId::BCC),
+                100.0 * r.reduction(EngineId::SCC),
                 100.0 * r.scc_extra()
             );
             Outcome::done()

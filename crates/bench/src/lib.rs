@@ -18,9 +18,8 @@
 //!
 //! Every experiment lives in the [`experiments`] registry and runs through
 //! the unified driver: `cargo run --release -p iwc-bench --bin iwc --
-//! <name>` (`iwc list` enumerates the registry). The per-experiment
-//! binaries (`fig10`, `table4`, …) remain as thin wrappers over the same
-//! registry path. The `IWC_SCALE` environment variable scales problem
+//! <name>` (`iwc list` enumerates the registry); `iwc` is the crate's
+//! only binary. The `IWC_SCALE` environment variable scales problem
 //! sizes (default 1) and `IWC_TRACE_LEN` the synthetic trace length.
 
 #![warn(missing_docs)]
@@ -131,15 +130,15 @@ pub fn telemetry() -> &'static iwc_telemetry::Registry {
 
 /// Runs `built` under the given compaction engine (paper-default GPU
 /// otherwise), with the functional check applied, and folds the run's
-/// telemetry snapshot into the process-wide [`telemetry`] registry. Accepts
-/// a [`iwc_compaction::CompactionMode`] or any registry [`EngineId`].
+/// telemetry snapshot into the process-wide [`telemetry`] registry. Any
+/// registry [`EngineId`] works, ablation engines included.
 ///
 /// # Panics
 ///
 /// Panics when the simulation fails or the workload check rejects the
 /// output — harness binaries should never silently report wrong-result
 /// runs.
-pub fn run_mode(built: &Built, engine: impl Into<EngineId>) -> SimResult {
+pub fn run_mode(built: &Built, engine: EngineId) -> SimResult {
     run_cfg(built, &GpuConfig::paper_default().with_compaction(engine))
 }
 
@@ -166,14 +165,10 @@ pub fn run_cfg(built: &Built, cfg: &GpuConfig) -> SimResult {
 /// # Panics
 ///
 /// Panics when any simulation fails or a workload check rejects its output.
-pub fn run_modes_cfg<M: Into<EngineId> + Copy>(
-    built: &Built,
-    cfg: &GpuConfig,
-    modes: &[M],
-) -> Vec<SimResult> {
-    modes
+pub fn run_modes_cfg(built: &Built, cfg: &GpuConfig, engines: &[EngineId]) -> Vec<SimResult> {
+    engines
         .iter()
-        .map(|&m| run_cfg(built, &cfg.with_compaction(m)))
+        .map(|&e| run_cfg(built, &cfg.with_compaction(e)))
         .collect()
 }
 

@@ -11,7 +11,7 @@
 //! energy model (arbitrary units, consistent with [`crate::rf::RfModel`])
 //! so workloads can be compared across modes.
 
-use crate::cycles::CompactionMode;
+use crate::engine::EngineId;
 use iwc_isa::mask::ExecMask;
 use iwc_isa::types::DataType;
 use serde::{Deserialize, Serialize};
@@ -44,7 +44,7 @@ impl Default for EnergyModel {
 
 impl EnergyModel {
     /// Dynamic energy of one instruction with execution mask `mask` under
-    /// `mode`: operand fetches + write-backs from the mode's register file
+    /// `engine`: operand fetches + write-backs from the mode's register file
     /// organization, ALU wave execution, and (for SCC) crossbar + control
     /// overhead. The per-mode formulas live in the mode's [`crate::engine`]
     /// implementation; this method dispatches to the matching engine.
@@ -52,28 +52,28 @@ impl EnergyModel {
     /// # Examples
     ///
     /// ```
-    /// use iwc_compaction::{CompactionMode, EnergyModel};
+    /// use iwc_compaction::{EngineId, EnergyModel};
     /// use iwc_isa::{DataType, ExecMask};
     ///
     /// let e = EnergyModel::default();
     /// let sparse = ExecMask::new(0x000F, 16);
     /// // BCC suppresses 3 of 4 quartiles — execution AND fetch energy drop.
-    /// let bcc = e.instruction_energy(sparse, DataType::F, CompactionMode::Bcc);
-    /// let base = e.instruction_energy(sparse, DataType::F, CompactionMode::Baseline);
+    /// let bcc = e.instruction_energy(sparse, DataType::F, EngineId::BCC);
+    /// let base = e.instruction_energy(sparse, DataType::F, EngineId::BASELINE);
     /// assert!(bcc < base / 2.0);
     /// ```
-    pub fn instruction_energy(&self, mask: ExecMask, dtype: DataType, mode: CompactionMode) -> f64 {
-        crate::engine::engine_of(mode).energy(self, mask, dtype)
+    pub fn instruction_energy(&self, mask: ExecMask, dtype: DataType, engine: EngineId) -> f64 {
+        engine.engine().energy(self, mask, dtype)
     }
 
-    /// Total energy of a mask stream under `mode`.
-    pub fn stream_energy<'a, I>(&self, stream: I, mode: CompactionMode) -> f64
+    /// Total energy of a mask stream under `engine`.
+    pub fn stream_energy<'a, I>(&self, stream: I, engine: EngineId) -> f64
     where
         I: IntoIterator<Item = &'a (ExecMask, DataType)>,
     {
         stream
             .into_iter()
-            .map(|&(m, d)| self.instruction_energy(m, d, mode))
+            .map(|&(m, d)| self.instruction_energy(m, d, engine))
             .sum()
     }
 }
@@ -90,8 +90,8 @@ mod tests {
     fn bcc_saves_energy_on_idle_quads() {
         let e = EnergyModel::default();
         let sparse = m16(0x000F);
-        let bcc = e.instruction_energy(sparse, DataType::F, CompactionMode::Bcc);
-        let base = e.instruction_energy(sparse, DataType::F, CompactionMode::Baseline);
+        let bcc = e.instruction_energy(sparse, DataType::F, EngineId::BCC);
+        let base = e.instruction_energy(sparse, DataType::F, EngineId::BASELINE);
         assert!(bcc < base * 0.5, "bcc {bcc:.1} vs baseline {base:.1}");
     }
 
@@ -99,8 +99,8 @@ mod tests {
     fn full_mask_bcc_energy_close_to_baseline() {
         let e = EnergyModel::default();
         let full = ExecMask::all(16);
-        let bcc = e.instruction_energy(full, DataType::F, CompactionMode::Bcc);
-        let base = e.instruction_energy(full, DataType::F, CompactionMode::Baseline);
+        let bcc = e.instruction_energy(full, DataType::F, EngineId::BCC);
+        let base = e.instruction_energy(full, DataType::F, EngineId::BASELINE);
         assert!(
             (bcc / base - 1.0).abs() < 0.1,
             "bcc {bcc:.1} vs baseline {base:.1}"
@@ -111,9 +111,9 @@ mod tests {
     fn scc_saves_execution_but_not_fetch() {
         let e = EnergyModel::default();
         let strided = m16(0xAAAA);
-        let scc = e.instruction_energy(strided, DataType::F, CompactionMode::Scc);
-        let base = e.instruction_energy(strided, DataType::F, CompactionMode::Baseline);
-        let bcc = e.instruction_energy(strided, DataType::F, CompactionMode::Bcc);
+        let scc = e.instruction_energy(strided, DataType::F, EngineId::SCC);
+        let base = e.instruction_energy(strided, DataType::F, EngineId::BASELINE);
+        let bcc = e.instruction_energy(strided, DataType::F, EngineId::BCC);
         assert!(
             scc < base,
             "SCC should still win on 0xAAAA: {scc:.1} vs {base:.1}"
@@ -129,8 +129,8 @@ mod tests {
     fn wide_types_cost_double() {
         let e = EnergyModel::default();
         let m = m16(0xFFFF);
-        let f = e.instruction_energy(m, DataType::F, CompactionMode::Baseline);
-        let df = e.instruction_energy(m, DataType::Df, CompactionMode::Baseline);
+        let f = e.instruction_energy(m, DataType::F, EngineId::BASELINE);
+        let df = e.instruction_energy(m, DataType::Df, EngineId::BASELINE);
         assert!(df > 1.8 * f);
     }
 
@@ -138,10 +138,10 @@ mod tests {
     fn stream_energy_sums() {
         let e = EnergyModel::default();
         let stream = vec![(m16(0xFFFF), DataType::F), (m16(0x000F), DataType::F)];
-        let total = e.stream_energy(&stream, CompactionMode::Bcc);
+        let total = e.stream_energy(&stream, EngineId::BCC);
         let parts: f64 = stream
             .iter()
-            .map(|&(m, d)| e.instruction_energy(m, d, CompactionMode::Bcc))
+            .map(|&(m, d)| e.instruction_energy(m, d, EngineId::BCC))
             .sum();
         assert_eq!(total, parts);
     }

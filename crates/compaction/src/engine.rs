@@ -5,11 +5,10 @@
 //! implementing [`CompactionEngine`]: the cycle count an instruction takes,
 //! the micro-op issue set it expands to, the swizzle/unswizzle schedule it
 //! programs into the operand crossbar, and the dynamic energy it charges.
-//! The simulator, trace analyzer and benches consume engines (via
-//! [`EngineId`] handles into the process-wide [`EngineRegistry`]) instead of
-//! matching on [`CompactionMode`], so a new design point is added by writing
-//! one `impl CompactionEngine` and registering it — no simulator or
-//! harness changes.
+//! The simulator, trace analyzer and benches name design points only by
+//! [`EngineId`] handles into the process-wide [`EngineRegistry`], so a new
+//! design point is added by writing one `impl CompactionEngine` and
+//! registering it — no simulator or harness changes.
 //!
 //! # The canonical ordering
 //!
@@ -17,9 +16,9 @@
 //! weakest-to-strongest order — `base`, `ivb`, `bcc`, `scc` — and
 //! [`EngineId::CANONICAL`] / [`EngineRegistry::canonical`] own that ordering
 //! as the documented source of truth for every mode sweep (tables iterate
-//! it, reports column-order by it). It coincides with
-//! [`CompactionMode::ALL`] by construction and a unit test pins the two
-//! together.
+//! it, reports column-order by it). The four canonical engines are unit
+//! structs behind a static array, so resolving a canonical id never takes
+//! the registry lock.
 //!
 //! # Distance-limited swizzling ([`SccLimited`])
 //!
@@ -27,12 +26,11 @@
 //! hardware cost. [`SccLimited`] models a cheaper network in which a
 //! hardware lane `n` may only borrow work from source lane `m` when
 //! `|m − n| ≤ k`; `k = 0` degenerates to BCC-style quad skipping, `k = 3`
-//! restores the full crossbar (and provably matches [`CompactionMode::Scc`]
+//! restores the full crossbar (and provably matches [`EngineId::SCC`]
 //! cycle counts). It exists to prove the engine layer is extensible — it is
 //! surfaced only through the registry and the `ablation_swizzle`
 //! experiment, with zero changes to the simulator or trace crates.
 
-use crate::cycles::CompactionMode;
 use crate::energy::EnergyModel;
 use crate::microop::{expand_quartiles, expand_scheduled, Expansion};
 use crate::rf::{RfModel, RfOrganization};
@@ -41,7 +39,7 @@ use iwc_isa::insn::Instruction;
 use iwc_isa::mask::{ExecMask, QUAD};
 use iwc_isa::types::DataType;
 use std::fmt;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{OnceLock, RwLock};
 
 /// One divergence-optimization design point: everything the pipeline model
 /// needs to know about how an execution mask turns into issued work.
@@ -53,12 +51,6 @@ pub trait CompactionEngine: Send + Sync + fmt::Debug {
     /// Short, unique label used in reports and registry lookups
     /// (`base`, `ivb`, `bcc`, `scc`, `scc-k1`, …).
     fn label(&self) -> &str;
-
-    /// The [`CompactionMode`] this engine reproduces, when it is one of the
-    /// paper's four configurations; `None` for ablation engines.
-    fn mode(&self) -> Option<CompactionMode> {
-        None
-    }
 
     /// Execution cycles (ALU waves) for one instruction with execution mask
     /// `mask` at the `dtype` datapath granularity.
@@ -102,10 +94,6 @@ impl CompactionEngine for BaselineEngine {
         "base"
     }
 
-    fn mode(&self) -> Option<CompactionMode> {
-        Some(CompactionMode::Baseline)
-    }
-
     fn cycles(&self, mask: ExecMask, dtype: DataType) -> u32 {
         mask.width().div_ceil(dtype.elements_per_wave())
     }
@@ -139,10 +127,6 @@ impl IvyBridgeEngine {
 impl CompactionEngine for IvyBridgeEngine {
     fn label(&self) -> &str {
         "ivb"
-    }
-
-    fn mode(&self) -> Option<CompactionMode> {
-        Some(CompactionMode::IvyBridge)
     }
 
     fn cycles(&self, mask: ExecMask, dtype: DataType) -> u32 {
@@ -184,10 +168,6 @@ pub struct BccEngine;
 impl CompactionEngine for BccEngine {
     fn label(&self) -> &str {
         "bcc"
-    }
-
-    fn mode(&self) -> Option<CompactionMode> {
-        Some(CompactionMode::Bcc)
     }
 
     fn cycles(&self, mask: ExecMask, dtype: DataType) -> u32 {
@@ -232,10 +212,6 @@ impl CompactionEngine for SccEngine {
         "scc"
     }
 
-    fn mode(&self) -> Option<CompactionMode> {
-        Some(CompactionMode::Scc)
-    }
-
     fn cycles(&self, mask: ExecMask, dtype: DataType) -> u32 {
         mask.active_channels()
             .div_ceil(dtype.elements_per_wave())
@@ -262,22 +238,10 @@ impl CompactionEngine for SccEngine {
     }
 }
 
-static BASELINE_ENGINE: BaselineEngine = BaselineEngine;
-static IVY_BRIDGE_ENGINE: IvyBridgeEngine = IvyBridgeEngine;
-static BCC_ENGINE: BccEngine = BccEngine;
-static SCC_ENGINE: SccEngine = SccEngine;
-
-/// The static engine implementing one of the paper's four configurations —
-/// the zero-cost dispatch point behind [`crate::waves_typed`],
-/// [`crate::expand`] and [`EnergyModel::instruction_energy`].
-pub fn engine_of(mode: CompactionMode) -> &'static dyn CompactionEngine {
-    match mode {
-        CompactionMode::Baseline => &BASELINE_ENGINE,
-        CompactionMode::IvyBridge => &IVY_BRIDGE_ENGINE,
-        CompactionMode::Bcc => &BCC_ENGINE,
-        CompactionMode::Scc => &SCC_ENGINE,
-    }
-}
+/// The paper's four engines in [`EngineId::CANONICAL`] order: canonical
+/// ids resolve here without touching the registry.
+static CANONICAL_ENGINES: [&dyn CompactionEngine; 4] =
+    [&BaselineEngine, &IvyBridgeEngine, &BccEngine, &SccEngine];
 
 // ---------------------------------------------------------------------------
 // SccLimited: the §4.3 distance-bounded swizzle network.
@@ -313,7 +277,7 @@ impl SccLimited {
     /// Registers a reach-`k` engine in the global registry (idempotent) and
     /// returns its handle.
     pub fn register(k: u8) -> EngineId {
-        EngineRegistry::global().register(Arc::new(Self::new(k)))
+        EngineRegistry::global().register(Box::new(Self::new(k)))
     }
 
     /// The lane reach of the swizzle network.
@@ -450,9 +414,7 @@ impl CompactionEngine for SccLimited {
 
 /// A cheap, `Copy` handle to an engine in the process-wide
 /// [`EngineRegistry`] — what configuration structs store and sweeps iterate
-/// over. Converts from [`CompactionMode`] (`mode.into()`), compares against
-/// it, and `Display`s as the engine label, so call sites written against
-/// the old enum keep working unchanged.
+/// over. `Display`s as the engine label.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct EngineId(u16);
 
@@ -468,26 +430,29 @@ impl EngineId {
 
     /// The canonical mode ordering, weakest to strongest — the documented
     /// source of truth for every four-mode sweep and report column order.
-    /// Coincides with [`CompactionMode::ALL`] (pinned by a unit test).
     pub const CANONICAL: [EngineId; 4] = [Self::BASELINE, Self::IVY_BRIDGE, Self::BCC, Self::SCC];
 
-    /// Resolves the handle in the global registry.
+    /// Resolves the handle: canonical ids index a static array, others
+    /// read the global registry.
     ///
     /// # Panics
     ///
     /// Panics when the id was never issued by the registry.
-    pub fn engine(self) -> Arc<dyn CompactionEngine> {
-        EngineRegistry::global().get(self)
+    pub fn engine(self) -> &'static dyn CompactionEngine {
+        match CANONICAL_ENGINES.get(self.index()) {
+            Some(&engine) => engine,
+            None => EngineRegistry::global().get(self),
+        }
+    }
+
+    /// True for the paper's four engines ([`EngineId::CANONICAL`]).
+    pub fn is_canonical(self) -> bool {
+        self.index() < CANONICAL_ENGINES.len()
     }
 
     /// The engine's report label.
     pub fn label(self) -> String {
         self.engine().label().to_owned()
-    }
-
-    /// The [`CompactionMode`] this engine reproduces, if any.
-    pub fn mode(self) -> Option<CompactionMode> {
-        self.engine().mode()
     }
 
     /// Registry slot index (stable for the process lifetime).
@@ -497,39 +462,15 @@ impl EngineId {
 }
 
 impl Default for EngineId {
-    /// The paper's reporting baseline, matching `CompactionMode::default()`.
+    /// The paper's reporting baseline.
     fn default() -> Self {
         Self::IVY_BRIDGE
     }
 }
 
-impl From<CompactionMode> for EngineId {
-    fn from(mode: CompactionMode) -> Self {
-        match mode {
-            CompactionMode::Baseline => Self::BASELINE,
-            CompactionMode::IvyBridge => Self::IVY_BRIDGE,
-            CompactionMode::Bcc => Self::BCC,
-            CompactionMode::Scc => Self::SCC,
-        }
-    }
-}
-
-impl PartialEq<CompactionMode> for EngineId {
-    fn eq(&self, other: &CompactionMode) -> bool {
-        *self == EngineId::from(*other)
-    }
-}
-
-impl PartialEq<EngineId> for CompactionMode {
-    fn eq(&self, other: &EngineId) -> bool {
-        EngineId::from(*self) == *other
-    }
-}
-
 impl fmt::Display for EngineId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let engine = self.engine();
-        f.write_str(engine.label())
+        f.write_str(self.engine().label())
     }
 }
 
@@ -538,10 +479,11 @@ impl fmt::Display for EngineId {
 /// Seeded with the four standard engines in [`EngineId::CANONICAL`] order;
 /// ablation engines are appended at runtime via [`EngineRegistry::register`]
 /// (idempotent per label). Ids are slot indices and remain valid for the
-/// process lifetime — engines are never removed.
+/// process lifetime — engines are never removed, so each registered engine
+/// is leaked once and handed out as a `&'static` reference.
 #[derive(Debug)]
 pub struct EngineRegistry {
-    engines: RwLock<Vec<Arc<dyn CompactionEngine>>>,
+    engines: RwLock<Vec<&'static dyn CompactionEngine>>,
 }
 
 impl EngineRegistry {
@@ -549,24 +491,20 @@ impl EngineRegistry {
     pub fn global() -> &'static EngineRegistry {
         static GLOBAL: OnceLock<EngineRegistry> = OnceLock::new();
         GLOBAL.get_or_init(|| EngineRegistry {
-            engines: RwLock::new(vec![
-                Arc::new(BaselineEngine),
-                Arc::new(IvyBridgeEngine),
-                Arc::new(BccEngine),
-                Arc::new(SccEngine),
-            ]),
+            engines: RwLock::new(CANONICAL_ENGINES.to_vec()),
         })
     }
 
     /// Registers `engine`, returning its handle. Registering a label twice
     /// returns the existing handle (the new object is dropped), so
-    /// experiments can re-register their engines freely.
-    pub fn register(&self, engine: Arc<dyn CompactionEngine>) -> EngineId {
+    /// experiments can re-register their engines freely; only a new label
+    /// leaks its engine.
+    pub fn register(&self, engine: Box<dyn CompactionEngine>) -> EngineId {
         let mut engines = self.engines.write().expect("engine registry poisoned");
         if let Some(i) = engines.iter().position(|e| e.label() == engine.label()) {
             return EngineId(i as u16);
         }
-        engines.push(engine);
+        engines.push(Box::leak(engine));
         EngineId((engines.len() - 1) as u16)
     }
 
@@ -575,8 +513,8 @@ impl EngineRegistry {
     /// # Panics
     ///
     /// Panics when `id` was never issued by this registry.
-    pub fn get(&self, id: EngineId) -> Arc<dyn CompactionEngine> {
-        self.engines.read().expect("engine registry poisoned")[id.index()].clone()
+    pub fn get(&self, id: EngineId) -> &'static dyn CompactionEngine {
+        self.engines.read().expect("engine registry poisoned")[id.index()]
     }
 
     /// Looks an engine up by label.
@@ -620,139 +558,6 @@ impl EngineRegistry {
     }
 }
 
-// ---------------------------------------------------------------------------
-// EngineTally: per-engine cycle accounting over arbitrary engine sets.
-// ---------------------------------------------------------------------------
-
-/// Aggregate execution-cycle accounting for an arbitrary set of engines —
-/// the engine-generic counterpart of [`crate::CompactionTally`] (which is
-/// fixed to the paper's four modes). Used by mode sweeps that include
-/// ablation engines, e.g. the `ablation_swizzle` experiment.
-#[derive(Clone, Debug)]
-pub struct EngineTally {
-    engines: Vec<(EngineId, Arc<dyn CompactionEngine>)>,
-    cycles: Vec<u64>,
-    instructions: u64,
-    active_channels: u64,
-    total_channels: u64,
-}
-
-impl EngineTally {
-    /// An empty tally accounting the given engines (resolved once, so the
-    /// per-instruction hot path never touches the registry lock).
-    pub fn new(ids: &[EngineId]) -> Self {
-        Self {
-            engines: ids.iter().map(|&id| (id, id.engine())).collect(),
-            cycles: vec![0; ids.len()],
-            instructions: 0,
-            active_channels: 0,
-            total_channels: 0,
-        }
-    }
-
-    /// Accounts one executed instruction.
-    pub fn add(&mut self, mask: ExecMask, dtype: DataType) {
-        self.add_run(mask, dtype, 1);
-    }
-
-    /// Accounts a run of `n` identical `(mask, dtype)` instructions in one
-    /// pass over the engine set — every field is an integer sum, so the
-    /// multiplicative charge is exactly equal to `n` repeated
-    /// [`add`](Self::add) calls.
-    pub fn add_run(&mut self, mask: ExecMask, dtype: DataType, n: u64) {
-        for ((_, engine), total) in self.engines.iter().zip(self.cycles.iter_mut()) {
-            *total += u64::from(engine.cycles(mask, dtype)) * n;
-        }
-        self.instructions += n;
-        self.active_channels += u64::from(mask.active_channels()) * n;
-        self.total_channels += u64::from(mask.width()) * n;
-    }
-
-    /// Merges another tally over the same engine set.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the engine sets differ.
-    pub fn merge(&mut self, other: &EngineTally) {
-        assert_eq!(
-            self.ids(),
-            other.ids(),
-            "merging tallies of different engine sets"
-        );
-        for (a, b) in self.cycles.iter_mut().zip(&other.cycles) {
-            *a += b;
-        }
-        self.instructions += other.instructions;
-        self.active_channels += other.active_channels;
-        self.total_channels += other.total_channels;
-    }
-
-    /// The engines accounted, in column order.
-    pub fn ids(&self) -> Vec<EngineId> {
-        self.engines.iter().map(|&(id, _)| id).collect()
-    }
-
-    /// Instructions accounted.
-    pub fn instructions(&self) -> u64 {
-        self.instructions
-    }
-
-    /// SIMD efficiency of the accounted stream (active / total channels).
-    pub fn simd_efficiency(&self) -> f64 {
-        if self.total_channels == 0 {
-            1.0
-        } else {
-            self.active_channels as f64 / self.total_channels as f64
-        }
-    }
-
-    /// Total execution cycles under engine `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` is not part of this tally.
-    pub fn cycles_of(&self, id: EngineId) -> u64 {
-        let i = self
-            .engines
-            .iter()
-            .position(|&(e, _)| e == id)
-            .unwrap_or_else(|| panic!("engine {id:?} not accounted in this tally"));
-        self.cycles[i]
-    }
-
-    /// Fractional cycle reduction of engine `id` relative to engine `base`.
-    pub fn reduction_vs(&self, id: EngineId, base: EngineId) -> f64 {
-        let b = self.cycles_of(base);
-        if b == 0 {
-            0.0
-        } else {
-            1.0 - self.cycles_of(id) as f64 / b as f64
-        }
-    }
-}
-
-impl iwc_telemetry::Instrument for EngineTally {
-    fn publish(&self, prefix: &str, snap: &mut iwc_telemetry::TelemetrySnapshot) {
-        let j = |name: &str| iwc_telemetry::join(prefix, name);
-        snap.set_counter(&j("instructions"), self.instructions);
-        snap.set_counter(&j("active_channels"), self.active_channels);
-        snap.set_counter(&j("total_channels"), self.total_channels);
-        for ((id, _), &cycles) in self.engines.iter().zip(&self.cycles) {
-            snap.set_counter(&j(&format!("cycles/{id}")), cycles);
-        }
-    }
-}
-
-impl PartialEq for EngineTally {
-    fn eq(&self, other: &Self) -> bool {
-        self.ids() == other.ids()
-            && self.cycles == other.cycles
-            && self.instructions == other.instructions
-            && self.active_channels == other.active_channels
-            && self.total_channels == other.total_channels
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -762,25 +567,15 @@ mod tests {
     }
 
     #[test]
-    fn canonical_order_matches_compaction_mode_all() {
-        // The registry owns the canonical ordering; CompactionMode::ALL must
-        // stay in lock-step with it.
-        let canonical = EngineRegistry::global().canonical();
-        assert_eq!(canonical, EngineId::CANONICAL);
-        for (id, mode) in canonical.iter().zip(CompactionMode::ALL) {
-            assert_eq!(id.mode(), Some(mode));
-            assert_eq!(id.label(), mode.label());
-            assert_eq!(EngineId::from(mode), *id);
-        }
-    }
-
-    #[test]
-    fn engine_of_matches_registry() {
-        for mode in CompactionMode::ALL {
-            let st = engine_of(mode);
-            let reg = EngineId::from(mode).engine();
-            assert_eq!(st.label(), reg.label());
-            assert_eq!(st.mode(), reg.mode());
+    fn canonical_ids_resolve_to_the_registry_seed() {
+        let reg = EngineRegistry::global();
+        assert_eq!(reg.canonical(), EngineId::CANONICAL);
+        let labels: Vec<String> = EngineId::CANONICAL.iter().map(|id| id.label()).collect();
+        assert_eq!(labels, ["base", "ivb", "bcc", "scc"]);
+        for id in EngineId::CANONICAL {
+            assert!(id.is_canonical());
+            // The static fast path and the registry hand out the same object.
+            assert!(std::ptr::addr_eq(id.engine(), reg.get(id)), "{id}");
         }
     }
 
@@ -791,6 +586,8 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(EngineRegistry::global().find("scc-k2"), Some(a));
         assert!(a.index() >= 4, "appended after the canonical four");
+        assert!(!a.is_canonical());
+        assert!(std::ptr::addr_eq(a.engine(), b.engine()), "leaked once");
     }
 
     #[test]
@@ -805,37 +602,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_id_interops_with_mode() {
-        assert_eq!(EngineId::default(), CompactionMode::IvyBridge);
-        assert_eq!(CompactionMode::Scc, EngineId::SCC);
+    fn engine_id_default_and_display() {
+        assert_eq!(EngineId::default(), EngineId::IVY_BRIDGE);
         assert_eq!(EngineId::SCC.to_string(), "scc");
-    }
-
-    #[test]
-    fn engines_reproduce_mode_models() {
-        use crate::cycles::waves_typed;
-        use crate::microop::expand;
-        for bits in [0u32, 0x1, 0xF0F0, 0xAAAA, 0x00FF, 0xFFFF, 0x8421] {
-            let m = m16(bits);
-            for mode in CompactionMode::ALL {
-                let e = engine_of(mode);
-                for dtype in [DataType::Ub, DataType::Hf, DataType::F, DataType::Df] {
-                    assert_eq!(
-                        e.cycles(m, dtype),
-                        waves_typed(m, dtype, mode),
-                        "mask {bits:#x} mode {mode} {dtype:?}"
-                    );
-                }
-                let insn = Instruction::alu(
-                    iwc_isa::insn::Opcode::Add,
-                    16,
-                    DataType::F,
-                    iwc_isa::reg::Operand::rf(12),
-                    &[iwc_isa::reg::Operand::rf(8), iwc_isa::reg::Operand::rf(10)],
-                );
-                assert_eq!(e.expand(&insn, m), expand(&insn, m, mode), "mask {bits:#x}");
-            }
-        }
     }
 
     #[test]
@@ -895,45 +664,5 @@ mod tests {
             assert_eq!(s.cycle_count(), 1);
             s.validate().unwrap();
         }
-    }
-
-    #[test]
-    fn engine_tally_accounts_and_reduces() {
-        let k1 = SccLimited::register(1);
-        let ids = [EngineId::IVY_BRIDGE, EngineId::BCC, k1, EngineId::SCC];
-        let mut t = EngineTally::new(&ids);
-        t.add(m16(0xAAAA), DataType::F);
-        t.add(m16(0x00FF), DataType::F);
-        // ivb: 4 + 2 = 6; bcc: 4 + 2; scc: 2 + 2 = 4.
-        assert_eq!(t.cycles_of(EngineId::IVY_BRIDGE), 6);
-        assert_eq!(t.cycles_of(EngineId::SCC), 4);
-        let k1_cycles = t.cycles_of(k1);
-        assert!((4..=6).contains(&k1_cycles));
-        assert_eq!(t.instructions(), 2);
-        assert_eq!(t.simd_efficiency(), 0.5);
-        let mut u = EngineTally::new(&ids);
-        u.add(m16(0xAAAA), DataType::F);
-        u.add(m16(0x00FF), DataType::F);
-        assert_eq!(t, u);
-        u.merge(&t);
-        assert_eq!(u.cycles_of(EngineId::SCC), 8);
-        assert!(u.reduction_vs(EngineId::SCC, EngineId::IVY_BRIDGE) > 0.3);
-    }
-
-    #[test]
-    fn engine_tally_run_equals_repeated_adds() {
-        let ids = EngineId::CANONICAL;
-        for bits in [0xFFFFu32, 0xF0F0, 0xAAAA, 0x0001, 0x0000] {
-            let mut runs = EngineTally::new(&ids);
-            runs.add_run(m16(bits), DataType::F, 5);
-            let mut scalar = EngineTally::new(&ids);
-            for _ in 0..5 {
-                scalar.add(m16(bits), DataType::F);
-            }
-            assert_eq!(runs, scalar, "mask {bits:#06x}");
-        }
-        let mut zero = EngineTally::new(&ids);
-        zero.add_run(m16(0xFFFF), DataType::F, 0);
-        assert_eq!(zero, EngineTally::new(&ids), "zero-length run is a no-op");
     }
 }

@@ -19,7 +19,8 @@
 //!   divergence (distinct cache lines per merged memory access) compared
 //!   with the unmerged stream.
 
-use crate::cycles::{waves, CompactionMode};
+use crate::cycles::waves;
+use crate::engine::EngineId;
 use iwc_isa::mask::ExecMask;
 use serde::{Deserialize, Serialize};
 
@@ -138,11 +139,11 @@ pub fn evaluate_group(group: &[ExecMask], addrs: &[Vec<u32>], line_bytes: u32) -
 
     let mut stats = InterWarpStats::default();
     for (w, mask) in group.iter().enumerate() {
-        stats.intra_warp_waves += u64::from(waves(*mask, CompactionMode::Scc));
+        stats.intra_warp_waves += u64::from(waves(*mask, EngineId::SCC));
         stats.intra_warp_lines += lines_of(mask, &|lane| addrs[w][lane as usize]);
     }
     for (w, mask) in compacted.masks.iter().enumerate() {
-        stats.inter_warp_waves += u64::from(waves(*mask, CompactionMode::Baseline));
+        stats.inter_warp_waves += u64::from(waves(*mask, EngineId::BASELINE));
         stats.inter_warp_lines += lines_of(mask, &|lane| {
             let src = compacted.origin[w][lane as usize].expect("active lane has origin");
             addrs[src as usize][lane as usize]

@@ -20,13 +20,18 @@
 //! # Examples
 //!
 //! ```
-//! use iwc_compaction::{execution_cycles, CompactionMode, SccSchedule};
+//! use iwc_compaction::{execution_cycles, EngineId, SccLimited, SccSchedule};
 //! use iwc_isa::{DataType, ExecMask};
 //!
 //! // The Fig. 4(b) pattern: BCC can't help, SCC halves the cycles.
 //! let mask = ExecMask::new(0xAAAA, 16);
-//! assert_eq!(execution_cycles(mask, DataType::F, CompactionMode::Bcc), 4);
-//! assert_eq!(execution_cycles(mask, DataType::F, CompactionMode::Scc), 2);
+//! assert_eq!(execution_cycles(mask, DataType::F, EngineId::BCC), 4);
+//! assert_eq!(execution_cycles(mask, DataType::F, EngineId::SCC), 2);
+//!
+//! // Ablation engines are registry entries named by the same `EngineId`.
+//! let k1 = SccLimited::register(1);
+//! assert_eq!(k1.label(), "scc-k1");
+//! assert_eq!(execution_cycles(mask, DataType::F, k1), 2);
 //!
 //! let schedule = SccSchedule::compute(mask);
 //! schedule.validate().expect("every active channel issued exactly once");
@@ -44,11 +49,11 @@ pub mod rf;
 pub mod scc;
 pub mod tally;
 
-pub use cycles::{execution_cycles, waves, waves_typed, CompactionMode, CycleBreakdown};
+pub use cycles::{execution_cycles, waves, CycleBreakdown};
 pub use energy::EnergyModel;
 pub use engine::{
-    engine_of, BaselineEngine, BccEngine, CompactionEngine, EngineId, EngineRegistry, EngineTally,
-    IvyBridgeEngine, SccEngine, SccLimited,
+    BaselineEngine, BccEngine, CompactionEngine, EngineId, EngineRegistry, IvyBridgeEngine,
+    SccEngine, SccLimited,
 };
 pub use interwarp::{compact_masks, evaluate_group, CompactedGroup, InterWarpStats};
 pub use microop::{expand, Expansion, MicroOp, RegHalf};

@@ -7,7 +7,7 @@
 //! and write-backs, which is where the register-file energy savings come
 //! from.
 
-use crate::cycles::CompactionMode;
+use crate::engine::EngineId;
 use crate::scc::SccSchedule;
 use iwc_isa::insn::Instruction;
 use iwc_isa::mask::{ExecMask, QUAD};
@@ -75,14 +75,14 @@ fn reg_half_of(reg_opt: Option<u8>, width: u32, elem_bytes: u32, quartile: u32) 
 /// suppresses `ADD.Q0` and `ADD.Q2` under BCC:
 ///
 /// ```
-/// use iwc_compaction::{expand, CompactionMode};
+/// use iwc_compaction::{expand, EngineId};
 /// use iwc_isa::{DataType, ExecMask, Instruction, Opcode, Operand};
 ///
 /// let insn = Instruction::alu(
 ///     Opcode::Add, 16, DataType::F,
 ///     Operand::rf(12), &[Operand::rf(8), Operand::rf(10)],
 /// );
-/// let e = expand(&insn, ExecMask::new(0xF0F0, 16), CompactionMode::Bcc);
+/// let e = expand(&insn, ExecMask::new(0xF0F0, 16), EngineId::BCC);
 /// let quartiles: Vec<u8> = e.issued.iter().map(|m| m.quartile).collect();
 /// assert_eq!(quartiles, vec![1, 3]);
 /// assert_eq!(e.fetches_saved, 4); // two sources for each suppressed quartile
@@ -98,8 +98,8 @@ fn reg_half_of(reg_opt: Option<u8>, width: u32, elem_bytes: u32, quartile: u32) 
 /// # Panics
 ///
 /// Panics if the mask width differs from the instruction execution width.
-pub fn expand(insn: &Instruction, mask: ExecMask, mode: CompactionMode) -> Expansion {
-    crate::engine::engine_of(mode).expand(insn, mask)
+pub fn expand(insn: &Instruction, mask: ExecMask, engine: EngineId) -> Expansion {
+    engine.engine().expand(insn, mask)
 }
 
 /// Expands `insn` into the quartile micro-ops named by `issue_set` — the
@@ -231,7 +231,7 @@ mod tests {
 
     #[test]
     fn paper_example_bcc_suppresses_q0_q2() {
-        let e = expand(&add16(), ExecMask::new(0xF0F0, 16), CompactionMode::Bcc);
+        let e = expand(&add16(), ExecMask::new(0xF0F0, 16), EngineId::BCC);
         let quartiles: Vec<u8> = e.issued.iter().map(|m| m.quartile).collect();
         assert_eq!(quartiles, vec![1, 3], "ADD.Q0 and ADD.Q2 suppressed");
         assert_eq!(e.suppressed, 2);
@@ -242,7 +242,7 @@ mod tests {
 
     #[test]
     fn paper_example_register_halves() {
-        let e = expand(&add16(), ExecMask::new(0xF0F0, 16), CompactionMode::Bcc);
+        let e = expand(&add16(), ExecMask::new(0xF0F0, 16), EngineId::BCC);
         // ADD.Q1 accesses R12.H1, R8.H1, R10.H1; ADD.Q3 accesses R13.H1 etc.
         let q1 = &e.issued[0];
         assert_eq!(
@@ -260,11 +260,7 @@ mod tests {
 
     #[test]
     fn baseline_issues_all_quartiles() {
-        let e = expand(
-            &add16(),
-            ExecMask::new(0xF0F0, 16),
-            CompactionMode::Baseline,
-        );
+        let e = expand(&add16(), ExecMask::new(0xF0F0, 16), EngineId::BASELINE);
         assert_eq!(e.issued.len(), 4);
         assert_eq!(e.suppressed, 0);
         assert_eq!(e.fetches_saved, 0);
@@ -272,32 +268,24 @@ mod tests {
 
     #[test]
     fn ivb_suppresses_idle_half_only() {
-        let e = expand(
-            &add16(),
-            ExecMask::new(0x00F0, 16),
-            CompactionMode::IvyBridge,
-        );
+        let e = expand(&add16(), ExecMask::new(0x00F0, 16), EngineId::IVY_BRIDGE);
         let quartiles: Vec<u8> = e.issued.iter().map(|m| m.quartile).collect();
         assert_eq!(quartiles, vec![0, 1]);
         // 0xF0F0 is not half-idle: nothing suppressed.
-        let e = expand(
-            &add16(),
-            ExecMask::new(0xF0F0, 16),
-            CompactionMode::IvyBridge,
-        );
+        let e = expand(&add16(), ExecMask::new(0xF0F0, 16), EngineId::IVY_BRIDGE);
         assert_eq!(e.issued.len(), 4);
     }
 
     #[test]
     fn bcc_all_disabled_issues_one_microop() {
-        let e = expand(&add16(), ExecMask::none(16), CompactionMode::Bcc);
+        let e = expand(&add16(), ExecMask::none(16), EngineId::BCC);
         assert_eq!(e.issued.len(), 1);
         assert_eq!(e.issued[0].quad_mask, 0);
     }
 
     #[test]
     fn scc_packs_and_charges_single_fetch() {
-        let e = expand(&add16(), ExecMask::new(0x1111, 16), CompactionMode::Scc);
+        let e = expand(&add16(), ExecMask::new(0x1111, 16), EngineId::SCC);
         assert_eq!(e.issued.len(), 1, "4 channels pack into one cycle");
         assert_eq!(e.issued[0].quad_mask, 0xF);
         // Full-width fetch: 2 sources × 4 halves each = 8 half-fetches, vs
@@ -311,7 +299,7 @@ mod tests {
         use crate::cycles::waves;
         for bits in [0u32, 0x1, 0xF0F0, 0xAAAA, 0x00FF, 0xFFFF, 0x8001] {
             let m = ExecMask::new(bits, 16);
-            for mode in CompactionMode::ALL {
+            for mode in EngineId::CANONICAL {
                 let e = expand(&add16(), m, mode);
                 assert_eq!(
                     e.issued.len() as u32,

@@ -23,9 +23,10 @@
 //!   array (8 = SIMD32 / 4 is the cycle-count ceiling), making
 //!   [`SccSchedule`] `Copy`;
 //! * schedules are memoized process-wide: widths ≤ 16 share a lazy
-//!   65,536-entry table behind a [`OnceLock`] (the schedule for a given bit
-//!   pattern is width-independent — empty high quads contribute nothing),
-//!   and SIMD32 masks go through a bounded per-thread cache.
+//!   65,536-entry table of [`OnceLock`]s, allocated in 256-entry chunks on
+//!   first use (the schedule for a given bit pattern is width-independent
+//!   — empty high quads contribute nothing), and SIMD32 masks go through a
+//!   bounded per-thread cache.
 //!
 //! [`SccSchedule::compute_reference`] keeps the original literal
 //! transcription of Fig. 6 (per-lane `VecDeque`s); the equivalence of the
@@ -180,15 +181,26 @@ impl SccCost {
     }
 }
 
+/// Entries per chunk of the SIMD16 schedule table.
+const SIMD16_CHUNK: usize = 256;
+
 /// Lazy process-wide table of schedules for all bit patterns of widths ≤ 16.
 ///
 /// The Fig. 6 algorithm only looks at per-quad bit groups, and a quad with
 /// no active channels contributes nothing to any queue, so the schedule for
 /// a bit pattern is identical for every width ≤ 16; one 2^16-entry table
-/// serves them all (the stored `mask` is fixed up on retrieval).
-fn simd16_table() -> &'static [OnceLock<SccSchedule>] {
-    static TABLE: OnceLock<Box<[OnceLock<SccSchedule>]>> = OnceLock::new();
-    TABLE.get_or_init(|| (0..=u16::MAX as usize).map(|_| OnceLock::new()).collect())
+/// serves them all (the stored `mask` is fixed up on retrieval). The table
+/// is 7 MiB in full, so it is split into 256-entry chunks allocated on
+/// first use: a process pays for the mask ranges it executes.
+static SIMD16_CHUNKS: [OnceLock<Box<[OnceLock<SccSchedule>]>>; (1 << 16) / SIMD16_CHUNK] =
+    [const { OnceLock::new() }; (1 << 16) / SIMD16_CHUNK];
+
+/// The table entry of a SIMD16 bit pattern.
+fn simd16_entry(bits: u32) -> &'static OnceLock<SccSchedule> {
+    let bits = bits as usize;
+    let chunk = SIMD16_CHUNKS[bits / SIMD16_CHUNK]
+        .get_or_init(|| (0..SIMD16_CHUNK).map(|_| OnceLock::new()).collect());
+    &chunk[bits % SIMD16_CHUNK]
 }
 
 /// Bounded per-thread cache for SIMD32 schedules (2^32 bit patterns rule
@@ -210,7 +222,7 @@ impl SccSchedule {
     /// instruction still flows down the pipe).
     pub fn compute(mask: ExecMask) -> Self {
         if mask.width() <= 16 {
-            let entry = simd16_table()[mask.bits() as usize]
+            let entry = simd16_entry(mask.bits())
                 .get_or_init(|| Self::compute_uncached(ExecMask::new(mask.bits(), 16)));
             let mut s = *entry;
             s.mask = mask;
@@ -812,15 +824,12 @@ mod tests {
 
     #[test]
     fn schedule_matches_waves_model() {
-        use crate::cycles::{waves, CompactionMode};
+        use crate::cycles::waves;
+        use crate::engine::EngineId;
         for bits in (0..=0xFFFFu32).step_by(37) {
             let m = m16(bits);
             let s = SccSchedule::compute(m);
-            assert_eq!(
-                s.cycle_count(),
-                waves(m, CompactionMode::Scc),
-                "mask {bits:#x}"
-            );
+            assert_eq!(s.cycle_count(), waves(m, EngineId::SCC), "mask {bits:#x}");
         }
     }
 

@@ -3,9 +3,13 @@
 //! [`CompactionTally`] accumulates per-instruction execution masks into the
 //! aggregate quantities the paper reports: per-mode EU execution cycles
 //! (Fig. 10), SIMD efficiency (Fig. 3), the SIMD utilization breakdown
-//! (Fig. 9), and operand-fetch savings.
+//! (Fig. 9), and operand-fetch savings. A tally built with
+//! [`CompactionTally::with_engines`] also carries one cycle column per
+//! ablation engine, so sweeps over arbitrary engine sets share this one
+//! accounting path.
 
-use crate::cycles::{CompactionMode, CycleBreakdown};
+use crate::cycles::CycleBreakdown;
+use crate::engine::{CompactionEngine, EngineId};
 use iwc_isa::mask::ExecMask;
 use iwc_isa::types::DataType;
 use serde::{Deserialize, Serialize};
@@ -76,14 +80,14 @@ impl UtilBucket {
 /// # Examples
 ///
 /// ```
-/// use iwc_compaction::{CompactionMode, CompactionTally};
+/// use iwc_compaction::{CompactionTally, EngineId};
 /// use iwc_isa::{DataType, ExecMask};
 ///
 /// let mut t = CompactionTally::new();
 /// t.add(ExecMask::new(0xF0F0, 16), DataType::F); // BCC halves this one
 /// t.add(ExecMask::all(16), DataType::F);         // incompressible
 /// assert_eq!(t.simd_efficiency(), 0.75);
-/// assert_eq!(t.reduction_vs_ivb(CompactionMode::Bcc), 0.25);
+/// assert_eq!(t.reduction_vs_ivb(EngineId::BCC), 0.25);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct CompactionTally {
@@ -101,17 +105,56 @@ pub struct CompactionTally {
     pub bcc_fetches_saved: u64,
     /// Channels routed through the SCC swizzle crossbar.
     pub scc_swizzles: u64,
+    /// Cycle columns of the non-canonical engines this tally accounts
+    /// (empty unless built by [`with_engines`](Self::with_engines)).
+    extra: Vec<ExtraColumn>,
+}
+
+/// Cycle total of one non-canonical engine, resolved once when the tally
+/// is built so charging never touches the registry.
+#[derive(Clone, Copy, Debug)]
+struct ExtraColumn {
+    id: EngineId,
+    engine: &'static dyn CompactionEngine,
+    cycles: u64,
+}
+
+impl PartialEq for ExtraColumn {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id && self.cycles == other.cycles
+    }
 }
 
 impl CompactionTally {
-    /// Creates an empty tally.
+    /// Creates an empty tally over the four canonical engines.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// An empty tally that also accounts every non-canonical engine in
+    /// `ids`, one cycle column each (duplicates collapse). Canonical
+    /// engines always live in [`cycles`](Self::cycles).
+    pub fn with_engines(ids: &[EngineId]) -> Self {
+        let mut extra: Vec<ExtraColumn> = Vec::new();
+        for &id in ids {
+            if !id.is_canonical() && extra.iter().all(|c| c.id != id) {
+                extra.push(ExtraColumn {
+                    id,
+                    engine: id.engine(),
+                    cycles: 0,
+                });
+            }
+        }
+        Self {
+            extra,
+            ..Self::default()
+        }
+    }
+
     /// Adds one executed instruction.
     pub fn add(&mut self, mask: ExecMask, dtype: DataType) {
-        self.add_delta(&TallyDelta::of(mask, dtype));
+        self.add_canonical(&TallyDelta::of(mask, dtype));
+        self.charge_extra(mask, dtype);
     }
 
     /// Adds one executed instruction from its precomputed contribution.
@@ -119,7 +162,18 @@ impl CompactionTally {
     /// Hot issue paths compute the [`TallyDelta`] once per distinct
     /// `(mask, dtype)` (see [`TallyMemo`]) and apply it to several tallies;
     /// the result is identical to calling [`add`](Self::add) on each.
+    ///
+    /// A delta carries only the canonical columns, so this is for tallies
+    /// without extra engines (debug builds assert it).
     pub fn add_delta(&mut self, d: &TallyDelta) {
+        debug_assert!(
+            self.extra.is_empty(),
+            "add_delta cannot charge extra engine columns; use add or TallyMemo::charge"
+        );
+        self.add_canonical(d);
+    }
+
+    fn add_canonical(&mut self, d: &TallyDelta) {
         self.cycles.accumulate(d.cycles);
         self.instructions += 1;
         self.active_channels += d.active_channels;
@@ -129,8 +183,31 @@ impl CompactionTally {
         self.scc_swizzles += d.scc_swizzles;
     }
 
-    /// Merges another tally into this one.
+    #[inline]
+    fn charge_extra(&mut self, mask: ExecMask, dtype: DataType) {
+        for c in &mut self.extra {
+            c.cycles += u64::from(c.engine.cycles(mask, dtype));
+        }
+    }
+
+    /// Merges another tally over the same engine set into this one.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the two tallies account different extra engines.
     pub fn merge(&mut self, other: &Self) {
+        assert!(
+            self.extra.len() == other.extra.len()
+                && self
+                    .extra
+                    .iter()
+                    .zip(&other.extra)
+                    .all(|(a, b)| a.id == b.id),
+            "merging tallies of different engine sets"
+        );
+        for (a, b) in self.extra.iter_mut().zip(&other.extra) {
+            a.cycles += b.cycles;
+        }
         self.cycles.accumulate(other.cycles);
         self.instructions += other.instructions;
         self.active_channels += other.active_channels;
@@ -168,10 +245,45 @@ impl CompactionTally {
         out
     }
 
-    /// EU execution-cycle reduction of `mode` relative to the Ivy Bridge
-    /// baseline (the Fig. 10 quantity).
-    pub fn reduction_vs_ivb(&self, mode: CompactionMode) -> f64 {
-        self.cycles.reduction_vs_ivb(mode)
+    /// EU execution-cycle reduction of the canonical engine `engine`
+    /// relative to the Ivy Bridge baseline (the Fig. 10 quantity).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `engine` is not canonical (see [`CycleBreakdown::get`]).
+    pub fn reduction_vs_ivb(&self, engine: EngineId) -> f64 {
+        self.cycles.reduction_vs_ivb(engine)
+    }
+
+    /// Total execution cycles under `id`: a canonical engine, or one of the
+    /// extra engines the tally was built with.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` is not accounted by this tally.
+    pub fn cycles_of(&self, id: EngineId) -> u64 {
+        if id.is_canonical() {
+            return self.cycles.get(id);
+        }
+        self.extra
+            .iter()
+            .find(|c| c.id == id)
+            .unwrap_or_else(|| panic!("engine {id} not accounted in this tally"))
+            .cycles
+    }
+
+    /// Fractional cycle reduction of engine `id` relative to engine `base`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when either engine is not accounted by this tally.
+    pub fn reduction_vs(&self, id: EngineId, base: EngineId) -> f64 {
+        let b = self.cycles_of(base);
+        if b == 0 {
+            0.0
+        } else {
+            1.0 - self.cycles_of(id) as f64 / b as f64
+        }
     }
 }
 
@@ -205,9 +317,14 @@ impl TallyDelta {
                 .position(|&b| b == bucket)
                 .expect("bucket in ALL"),
             bcc_fetches_saved: 2 * idle_quads,
-            // Exact swizzled-channel count of the Fig. 6 algorithm, served
-            // from the process-wide schedule memo (O(1) on repeated masks).
-            scc_swizzles: u64::from(crate::scc::SccCost::of(mask).swizzles),
+            // Exact swizzled-channel count of the Fig. 6 algorithm,
+            // computed directly: callers memoize whole deltas
+            // (`TallyMemo`), and filling the schedule table from the
+            // analyzer's tens of thousands of distinct masks would make
+            // every analyzing process resident in all 7 MiB of it.
+            scc_swizzles: u64::from(
+                crate::scc::SccSchedule::compute_uncached(mask).swizzle_count(),
+            ),
         }
     }
 }
@@ -356,7 +473,8 @@ impl TallyMemo {
 
     /// Adds one `(mask, dtype)` instruction to `tally` straight from its
     /// slot — identical to [`CompactionTally::add`], without unpacking a
-    /// [`TallyDelta`].
+    /// [`TallyDelta`]. The tally's extra engine columns, if any, are
+    /// charged through their engines (the slot holds the canonical four).
     #[inline]
     pub fn charge(&mut self, tally: &mut CompactionTally, mask: ExecMask, dtype: DataType) {
         let s = self.slot(mask, dtype);
@@ -370,6 +488,7 @@ impl TallyMemo {
         tally.buckets[usize::from(s.bucket)] += 1;
         tally.bcc_fetches_saved += u64::from(s.bcc_fetches_saved);
         tally.scc_swizzles += u64::from(s.scc_swizzles);
+        tally.charge_extra(mask, dtype);
     }
 }
 
@@ -381,8 +500,11 @@ impl iwc_telemetry::Instrument for CompactionTally {
         snap.set_counter(&j("total_channels"), self.total_channels);
         snap.set_counter(&j("bcc_fetches_saved"), self.bcc_fetches_saved);
         snap.set_counter(&j("scc_swizzles"), self.scc_swizzles);
-        for mode in CompactionMode::ALL {
-            snap.set_counter(&j(&format!("cycles/{mode}")), self.cycles.get(mode));
+        for id in EngineId::CANONICAL {
+            snap.set_counter(&j(&format!("cycles/{id}")), self.cycles.get(id));
+        }
+        for c in &self.extra {
+            snap.set_counter(&j(&format!("cycles/{}", c.id)), c.cycles);
         }
         for (i, bucket) in UtilBucket::ALL.iter().enumerate() {
             // Bucket labels contain '/', which reads as a hierarchy
@@ -404,8 +526,8 @@ impl fmt::Display for CompactionTally {
             self.cycles.ivb,
             self.cycles.bcc,
             self.cycles.scc,
-            100.0 * self.reduction_vs_ivb(CompactionMode::Bcc),
-            100.0 * self.reduction_vs_ivb(CompactionMode::Scc),
+            100.0 * self.reduction_vs_ivb(EngineId::BCC),
+            100.0 * self.reduction_vs_ivb(EngineId::SCC),
         )
     }
 }
@@ -458,11 +580,11 @@ mod tests {
         let mut t = CompactionTally::new();
         // 0xF0F0: ivb 4, bcc 2, scc 2.
         t.add(ExecMask::new(0xF0F0, 16), DataType::F);
-        assert_eq!(t.reduction_vs_ivb(CompactionMode::Bcc), 0.5);
+        assert_eq!(t.reduction_vs_ivb(EngineId::BCC), 0.5);
         // 0x00FF: ivb already optimizes to 2; bcc also 2: no further gain.
         let mut t2 = CompactionTally::new();
         t2.add(ExecMask::new(0x00FF, 16), DataType::F);
-        assert_eq!(t2.reduction_vs_ivb(CompactionMode::Bcc), 0.0);
+        assert_eq!(t2.reduction_vs_ivb(EngineId::BCC), 0.0);
     }
 
     #[test]
@@ -559,6 +681,47 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn extra_engine_columns_account_and_reduce() {
+        let k1 = crate::engine::SccLimited::register(1);
+        let ids = [EngineId::IVY_BRIDGE, EngineId::BCC, k1, EngineId::SCC, k1];
+        let mut t = CompactionTally::with_engines(&ids);
+        t.add(ExecMask::new(0xAAAA, 16), DataType::F);
+        t.add(ExecMask::new(0x00FF, 16), DataType::F);
+        // ivb: 4 + 2 = 6; scc: 2 + 2 = 4; k1 lies between them.
+        assert_eq!(t.cycles_of(EngineId::IVY_BRIDGE), 6);
+        assert_eq!(t.cycles_of(EngineId::SCC), 4);
+        assert!((4..=6).contains(&t.cycles_of(k1)));
+        assert_eq!(
+            t.reduction_vs(EngineId::SCC, EngineId::IVY_BRIDGE),
+            1.0 - 4.0 / 6.0
+        );
+        assert_eq!(
+            t.reduction_vs(EngineId::BCC, EngineId::IVY_BRIDGE),
+            t.reduction_vs_ivb(EngineId::BCC)
+        );
+        // The canonical columns are exactly a plain tally's.
+        let mut plain = CompactionTally::new();
+        plain.add(ExecMask::new(0xAAAA, 16), DataType::F);
+        plain.add(ExecMask::new(0x00FF, 16), DataType::F);
+        assert_eq!(t.cycles, plain.cycles);
+        assert_ne!(t, plain, "the extra column is part of the value");
+        let mut u = CompactionTally::with_engines(&ids);
+        let mut memo = TallyMemo::default();
+        memo.charge(&mut u, ExecMask::new(0xAAAA, 16), DataType::F);
+        memo.charge(&mut u, ExecMask::new(0x00FF, 16), DataType::F);
+        assert_eq!(t, u, "memo charge equals add, extra columns included");
+        u.merge(&t);
+        assert_eq!(u.cycles_of(k1), 2 * t.cycles_of(k1));
+    }
+
+    #[test]
+    #[should_panic(expected = "not accounted in this tally")]
+    fn cycles_of_rejects_unaccounted_engines() {
+        let k0 = crate::engine::SccLimited::register(0);
+        CompactionTally::new().cycles_of(k0);
     }
 
     #[test]

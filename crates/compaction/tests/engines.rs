@@ -3,12 +3,9 @@
 //! simulator consumes engines), and the correctness contract of the
 //! distance-limited `SccLimited` ablation engine.
 
-use iwc_compaction::{
-    CompactionEngine, CompactionMode, EngineId, EngineRegistry, SccLimited, SccSchedule,
-};
+use iwc_compaction::{CompactionEngine, EngineId, EngineRegistry, SccLimited, SccSchedule};
 use iwc_isa::mask::ExecMask;
 use iwc_isa::types::DataType;
-use std::sync::Arc;
 
 fn m16(bits: u32) -> ExecMask {
     ExecMask::new(bits, 16)
@@ -19,7 +16,7 @@ fn m16(bits: u32) -> ExecMask {
 /// registry-resolved trait objects exactly as the simulator does.
 #[test]
 fn exhaustive_mode_ordering_through_trait_objects() {
-    let engines: Vec<Arc<dyn CompactionEngine>> =
+    let engines: Vec<&dyn CompactionEngine> =
         EngineId::CANONICAL.iter().map(|&id| id.engine()).collect();
     let [base, ivb, bcc, scc] = &engines[..] else {
         panic!("canonical order must have four engines");
@@ -40,14 +37,13 @@ fn exhaustive_mode_ordering_through_trait_objects() {
 }
 
 /// The registry's canonical ordering is the documented weakest-to-strongest
-/// sweep order and agrees with the legacy `CompactionMode::ALL`.
+/// sweep order, and the registry resolves each label back to its id.
 #[test]
 fn canonical_ordering_is_weakest_to_strongest() {
     let labels: Vec<String> = EngineId::CANONICAL.iter().map(|id| id.label()).collect();
     assert_eq!(labels, ["base", "ivb", "bcc", "scc"]);
-    for (id, mode) in EngineId::CANONICAL.iter().zip(CompactionMode::ALL) {
-        assert_eq!(id.mode(), Some(mode));
-        assert_eq!(EngineId::from(mode), *id);
+    for (id, label) in EngineId::CANONICAL.iter().zip(&labels) {
+        assert_eq!(EngineRegistry::global().find(label), Some(*id));
     }
 }
 
@@ -56,8 +52,8 @@ fn canonical_ordering_is_weakest_to_strongest() {
 /// the trait objects, exhaustively.
 #[test]
 fn limited_full_reach_matches_scc_exhaustively() {
-    let k3: Arc<dyn CompactionEngine> = SccLimited::register(3).engine();
-    let scc: Arc<dyn CompactionEngine> = EngineId::SCC.engine();
+    let k3 = SccLimited::register(3).engine();
+    let scc = EngineId::SCC.engine();
     for bits in 0..=0xFFFFu32 {
         let mask = m16(bits);
         assert_eq!(
@@ -110,7 +106,7 @@ fn limited_schedules_issue_once_and_unswizzle_inverts() {
 /// between the two paper designs.
 #[test]
 fn limited_interpolates_between_scc_and_bcc() {
-    let engines: Vec<Arc<dyn CompactionEngine>> =
+    let engines: Vec<&dyn CompactionEngine> =
         (0..=3).map(|k| SccLimited::register(k).engine()).collect();
     let bcc = EngineId::BCC.engine();
     let scc = EngineId::SCC.engine();

@@ -1,7 +1,7 @@
 //! Property-based tests of the intra-warp compaction invariants
 //! (DESIGN.md §5 invariants 1 and 2).
 
-use iwc_compaction::{waves, CompactionMode, SccSchedule};
+use iwc_compaction::{execution_cycles, waves, EngineId, SccSchedule};
 use iwc_isa::{DataType, ExecMask};
 use proptest::prelude::*;
 
@@ -17,10 +17,10 @@ proptest! {
     /// Invariant 1: scc <= bcc <= ivb <= baseline, and at least 1 wave.
     #[test]
     fn mode_ordering(mask in arb_mask()) {
-        let b = waves(mask, CompactionMode::Baseline);
-        let i = waves(mask, CompactionMode::IvyBridge);
-        let c = waves(mask, CompactionMode::Bcc);
-        let s = waves(mask, CompactionMode::Scc);
+        let b = waves(mask, EngineId::BASELINE);
+        let i = waves(mask, EngineId::IVY_BRIDGE);
+        let c = waves(mask, EngineId::BCC);
+        let s = waves(mask, EngineId::SCC);
         prop_assert!(s <= c, "scc {s} > bcc {c} for {mask}");
         prop_assert!(c <= i, "bcc {c} > ivb {i} for {mask}");
         prop_assert!(i <= b, "ivb {i} > base {b} for {mask}");
@@ -31,7 +31,7 @@ proptest! {
     /// SCC achieves exactly the information-theoretic optimum.
     #[test]
     fn scc_is_optimal(mask in arb_mask()) {
-        let s = waves(mask, CompactionMode::Scc);
+        let s = waves(mask, EngineId::SCC);
         prop_assert_eq!(s, mask.active_channels().div_ceil(4).max(1));
     }
 
@@ -41,14 +41,14 @@ proptest! {
     fn scc_schedule_valid(mask in arb_mask()) {
         let sched = SccSchedule::compute(mask);
         prop_assert!(sched.validate().is_ok(), "{:?}", sched.validate());
-        prop_assert_eq!(sched.cycle_count(), waves(mask, CompactionMode::Scc));
+        prop_assert_eq!(sched.cycle_count(), waves(mask, EngineId::SCC));
     }
 
     /// A full mask is never compressed (no false savings on coherent code).
     #[test]
     fn full_masks_never_compressed(width in prop_oneof![Just(8u32), Just(16), Just(32)]) {
         let m = ExecMask::all(width);
-        for mode in CompactionMode::ALL {
+        for mode in EngineId::CANONICAL {
             prop_assert_eq!(waves(m, mode), width / 4);
         }
     }
@@ -68,8 +68,7 @@ proptest! {
     /// 16-bit cycles are between half and equal.
     #[test]
     fn dtype_granularity_bounds(mask in arb_mask()) {
-        use iwc_compaction::execution_cycles;
-        for mode in CompactionMode::ALL {
+        for mode in EngineId::CANONICAL {
             let f = execution_cycles(mask, DataType::F, mode);
             let df = execution_cycles(mask, DataType::Df, mode);
             let hf = execution_cycles(mask, DataType::Hf, mode);
@@ -77,20 +76,19 @@ proptest! {
             prop_assert!(hf <= f && 2 * hf >= f, "hf {hf} vs f {f} under {mode}");
         }
         prop_assert_eq!(
-            execution_cycles(mask, DataType::Df, CompactionMode::Baseline),
-            2 * execution_cycles(mask, DataType::F, CompactionMode::Baseline)
+            execution_cycles(mask, DataType::Df, EngineId::BASELINE),
+            2 * execution_cycles(mask, DataType::F, EngineId::BASELINE)
         );
     }
 
     /// Mode ordering holds at every data-type granularity.
     #[test]
     fn mode_ordering_all_dtypes(mask in arb_mask()) {
-        use iwc_compaction::waves_typed;
         for dt in [DataType::Ub, DataType::Hf, DataType::F, DataType::Df] {
-            let b = waves_typed(mask, dt, CompactionMode::Baseline);
-            let i = waves_typed(mask, dt, CompactionMode::IvyBridge);
-            let c = waves_typed(mask, dt, CompactionMode::Bcc);
-            let s = waves_typed(mask, dt, CompactionMode::Scc);
+            let b = execution_cycles(mask, dt, EngineId::BASELINE);
+            let i = execution_cycles(mask, dt, EngineId::IVY_BRIDGE);
+            let c = execution_cycles(mask, dt, EngineId::BCC);
+            let s = execution_cycles(mask, dt, EngineId::SCC);
             prop_assert!(s <= c && c <= i && i <= b, "{dt}: {s} {c} {i} {b}");
         }
     }
@@ -101,7 +99,7 @@ proptest! {
         let sched = SccSchedule::compute(mask);
         if sched.swizzle_count() > 0 {
             prop_assert!(
-                waves(mask, CompactionMode::Scc) < waves(mask, CompactionMode::Bcc),
+                waves(mask, EngineId::SCC) < waves(mask, EngineId::BCC),
                 "swizzled but no gain for {mask}"
             );
         }
@@ -118,7 +116,7 @@ fn exhaustive_simd16() {
         if let Err(e) = sched.validate() {
             panic!("mask {bits:#06x}: {e}");
         }
-        assert!(waves(m, CompactionMode::Scc) <= waves(m, CompactionMode::Bcc));
-        assert!(waves(m, CompactionMode::Bcc) <= waves(m, CompactionMode::IvyBridge));
+        assert!(waves(m, EngineId::SCC) <= waves(m, EngineId::BCC));
+        assert!(waves(m, EngineId::BCC) <= waves(m, EngineId::IVY_BRIDGE));
     }
 }

@@ -18,8 +18,9 @@ use iwc_compaction::{EngineId, EngineRegistry};
 use iwc_sim::{timeline, DecodedProgram, Gpu, GpuConfig};
 use iwc_telemetry::json::{escape, parse, Json};
 use iwc_telemetry::TelemetrySnapshot;
-use iwc_trace::analyze::EngineReport;
-use iwc_trace::{analyze_engines, analyze_source_engines, CorpusPack, Trace, TraceIoError};
+use iwc_trace::{
+    analyze_source_engines, CorpusPack, SliceSource, Trace, TraceIoError, TraceReport,
+};
 use iwc_workloads::hash::{program_hash, trace_hash};
 use iwc_workloads::{catalog, Built, Category};
 use std::fmt::Write as _;
@@ -415,7 +416,10 @@ fn run_trace_job(
         req,
         cache,
         sink,
-        || Ok(analyze_engines(&trace, &req.engines)),
+        || {
+            analyze_source_engines(&mut SliceSource::from(&trace), &req.engines)
+                .map_err(|e| JobError::Failed(format!("trace {:?}: {e}", trace.name)))
+        },
     )
 }
 
@@ -472,7 +476,7 @@ fn answer_trace_analysis(
     req: &JobRequest,
     cache: &SessionCache,
     sink: EventSink<'_>,
-    analyze: impl FnOnce() -> Result<EngineReport, JobError>,
+    analyze: impl FnOnce() -> Result<TraceReport, JobError>,
 ) -> Result<String, JobError> {
     let key = results_key(name, hash, req);
     if let Some(body) = cache.results_lookup(key) {
@@ -488,7 +492,7 @@ fn answer_trace_analysis(
     let report = analyze()?;
     let mut snap = TelemetrySnapshot::new();
     snap.set_counter("trace/records", records);
-    snap.set_counter("trace/instructions", report.tally.instructions());
+    snap.set_counter("trace/instructions", report.tally.instructions);
     snap.set_gauge("trace/simd_efficiency", report.tally.simd_efficiency());
     let mut results = String::new();
     for (i, &engine) in req.engines.iter().enumerate() {

@@ -123,8 +123,7 @@ pub struct GpuConfig {
     /// FIFO model; kernels larger than this thrash the front end).
     pub icache_insns: u32,
     /// Divergence optimization of the execution pipeline: a handle into the
-    /// process-wide [`iwc_compaction::EngineRegistry`] (converts from
-    /// [`iwc_compaction::CompactionMode`] for the paper's four modes).
+    /// process-wide [`iwc_compaction::EngineRegistry`].
     pub compaction: EngineId,
     /// When true, every executed SIMD instruction's execution mask is
     /// recorded in the run statistics (the trace-capture hook of §5.1:
@@ -197,11 +196,10 @@ impl GpuConfig {
         }
     }
 
-    /// Paper default with a different compaction engine (accepts a
-    /// [`iwc_compaction::CompactionMode`] or an [`EngineId`] from the
-    /// registry, so ablation engines slot in without new plumbing).
-    pub fn with_compaction(mut self, engine: impl Into<EngineId>) -> Self {
-        self.compaction = engine.into();
+    /// Paper default with a different compaction engine — any registry
+    /// [`EngineId`], so ablation engines slot in without new plumbing.
+    pub fn with_compaction(mut self, engine: EngineId) -> Self {
+        self.compaction = engine;
         self
     }
 
@@ -294,12 +292,11 @@ mod tests {
 
     #[test]
     fn builders_chain() {
-        use iwc_compaction::CompactionMode;
         let c = GpuConfig::paper_default()
-            .with_compaction(CompactionMode::Scc)
+            .with_compaction(EngineId::SCC)
             .with_dc_bandwidth(2.0)
             .with_perfect_l3(true);
-        assert_eq!(c.compaction, CompactionMode::Scc);
+        assert_eq!(c.compaction, EngineId::SCC);
         assert_eq!(c.mem.dc_lines_per_cycle, 2.0);
         assert!(c.mem.perfect_l3);
     }

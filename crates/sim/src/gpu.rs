@@ -6,7 +6,7 @@ use crate::exec::ThreadCtx;
 use crate::memimg::MemoryImage;
 use crate::memsys::{MemStats, MemSystem};
 use crate::plan::DecodedProgram;
-use iwc_compaction::{CompactionMode, CompactionTally, EngineId};
+use iwc_compaction::{CompactionTally, EngineId};
 use iwc_isa::mask::ExecMask;
 use iwc_isa::program::Program;
 use iwc_isa::reg::Operand;
@@ -89,10 +89,15 @@ impl SimResult {
         self.eu.simd_tally.simd_efficiency()
     }
 
-    /// EU execution cycles under the run's mask stream for the given mode
-    /// (evaluated analytically from the executed masks, as the paper does).
-    pub fn eu_cycles(&self, mode: CompactionMode) -> u64 {
-        self.eu.compute_tally.cycles.get(mode)
+    /// EU execution cycles under the run's mask stream for the canonical
+    /// engine `engine` (evaluated analytically from the executed masks, as
+    /// the paper does).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `engine` is not one of [`EngineId::CANONICAL`].
+    pub fn eu_cycles(&self, engine: EngineId) -> u64 {
+        self.eu.compute_tally.cycles.get(engine)
     }
 
     /// Compaction accounting over the executed computation masks.
@@ -262,32 +267,31 @@ impl Gpu {
         )
     }
 
-    /// Sweeps one launch across several compaction engines (accepts
-    /// [`CompactionMode`]s or registry [`EngineId`]s): each engine runs on
-    /// a fresh cold device against its own copy of `img`, so results are
-    /// independent and ordered like `modes`. This is the evaluation
-    /// harness's unit of work — one (workload × config) cell expanded over
-    /// the mode axis.
+    /// Sweeps one launch across several compaction engines: each engine
+    /// runs on a fresh cold device against its own copy of `img`, so
+    /// results are independent and ordered like `engines`. This is the
+    /// evaluation harness's unit of work — one (workload × config) cell
+    /// expanded over the mode axis.
     ///
     /// # Errors
     ///
     /// Returns the first [`SimulateError`] encountered, abandoning the
     /// remaining modes.
-    pub fn run_modes<M: Into<EngineId> + Copy>(
+    pub fn run_modes(
         cfg: &GpuConfig,
         launch: &Launch,
         img: &MemoryImage,
-        modes: &[M],
+        engines: &[EngineId],
     ) -> Result<Vec<SimResult>, SimulateError> {
         // One scratch image serves every mode: `clone_from` resets it in
         // place between runs, so an N-mode sweep costs one allocation
         // instead of N image clones.
         let mut scratch: Option<MemoryImage> = None;
-        modes
+        engines
             .iter()
-            .map(|&mode| {
+            .map(|&engine| {
                 let mut cfg = *cfg;
-                cfg.compaction = mode.into();
+                cfg.compaction = engine;
                 let run_img = match scratch.as_mut() {
                     Some(s) => {
                         s.clone_from(img);
@@ -448,7 +452,7 @@ fn run_launch_inner(
             let arb = eu.arbitrate(
                 now,
                 cfg,
-                engine.as_ref(),
+                engine,
                 &launch.program,
                 decoded,
                 mem,

@@ -10,7 +10,7 @@
 //! blocks) would intra-warp compaction speed up.
 
 use iwc_compaction::cycles::CycleBreakdown;
-use iwc_compaction::CompactionMode;
+use iwc_compaction::EngineId;
 use iwc_isa::mask::ExecMask;
 use iwc_isa::program::Program;
 use iwc_isa::types::DataType;
@@ -36,7 +36,7 @@ pub struct InsnStat {
 impl InsnStat {
     /// Cycles this instruction would save going from `from` to `to`
     /// (saturating at zero).
-    pub fn savings(&self, from: CompactionMode, to: CompactionMode) -> u64 {
+    pub fn savings(&self, from: EngineId, to: EngineId) -> u64 {
         self.cycles.get(from).saturating_sub(self.cycles.get(to))
     }
 
@@ -113,7 +113,7 @@ impl KernelProfile {
 
     /// Program counters ranked by compaction-cycle savings (`from` → `to`),
     /// largest first, zero-savings entries dropped.
-    pub fn hotspots(&self, from: CompactionMode, to: CompactionMode) -> Vec<(usize, u64)> {
+    pub fn hotspots(&self, from: EngineId, to: EngineId) -> Vec<(usize, u64)> {
         let mut v: Vec<(usize, u64)> = self
             .insns
             .iter()
@@ -177,7 +177,7 @@ mod tests {
         assert_eq!(p.insns[5].cycles, CycleBreakdown::default());
         assert_eq!(p.insns[3].mean_channels(), 4.0);
 
-        let hot = p.hotspots(CompactionMode::Baseline, CompactionMode::Scc);
+        let hot = p.hotspots(EngineId::BASELINE, EngineId::SCC);
         assert_eq!(hot.first(), Some(&(3, 6)));
         // Full-mask and non-compute pcs save nothing and are dropped.
         assert!(hot.iter().all(|&(pc, _)| pc == 3));

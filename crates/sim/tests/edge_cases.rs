@@ -361,7 +361,7 @@ fn icache_capacity_matters() {
 /// under both.
 #[test]
 fn rf_timing_options() {
-    use iwc_compaction::CompactionMode;
+    use iwc_compaction::EngineId;
     use iwc_sim::RfTiming;
     let mut b = KernelBuilder::new("rf", 16);
     b.and(Operand::rud(6), Operand::rud(1), Operand::imm_ud(3));
@@ -378,21 +378,21 @@ fn rf_timing_options() {
     }
     b.end_if();
     let p = b.finish().unwrap();
-    let run = |timing: RfTiming, mode: CompactionMode| {
+    let run = |timing: RfTiming, mode: EngineId| {
         let cfg = cfg1().with_rf_timing(timing).with_compaction(mode);
         let mut img = MemoryImage::new(1 << 12);
         simulate(&cfg, &Launch::new(p.clone(), 96, 48), &mut img)
             .unwrap()
             .cycles
     };
-    let multi_ivb = run(RfTiming::MultiCycle, CompactionMode::IvyBridge);
-    let pumped_ivb = run(RfTiming::Pumped, CompactionMode::IvyBridge);
+    let multi_ivb = run(RfTiming::MultiCycle, EngineId::IVY_BRIDGE);
+    let pumped_ivb = run(RfTiming::Pumped, EngineId::IVY_BRIDGE);
     assert!(
         multi_ivb > pumped_ivb,
         "multi-cycle RF ({multi_ivb}) vs pumped ({pumped_ivb})"
     );
-    let multi_scc = run(RfTiming::MultiCycle, CompactionMode::Scc);
-    let pumped_scc = run(RfTiming::Pumped, CompactionMode::Scc);
+    let multi_scc = run(RfTiming::MultiCycle, EngineId::SCC);
+    let pumped_scc = run(RfTiming::Pumped, EngineId::SCC);
     assert!(multi_scc < multi_ivb, "SCC helps under multi-cycle RF");
     assert!(pumped_scc < pumped_ivb, "SCC helps under pumped RF");
 }

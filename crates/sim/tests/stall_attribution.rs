@@ -196,7 +196,7 @@ fn barrier_and_send_queue_stay_structurally_zero() {
 /// identity intact per launch.
 #[test]
 fn attribution_exhaustive_across_modes() {
-    use iwc_compaction::CompactionMode;
+    use iwc_compaction::EngineId;
     let mut b = KernelBuilder::new("mix", 16);
     b.and(Operand::rud(6), Operand::rud(1), Operand::imm_ud(15));
     b.cmp(CondOp::Lt, FlagReg::F0, Operand::rud(6), Operand::imm_ud(3));
@@ -214,7 +214,7 @@ fn attribution_exhaustive_across_modes() {
     b.shl(Operand::rud(6), Operand::rud(1), Operand::imm_ud(2));
     b.store(MemSpace::Global, Operand::rud(6), Operand::rf(8));
     let p = b.finish().unwrap();
-    for mode in CompactionMode::ALL {
+    for mode in EngineId::CANONICAL {
         let cfg = GpuConfig::paper_default().with_compaction(mode);
         let r = run(p.clone(), &cfg, 256, 64);
         assert_exhaustive(&r, &cfg);

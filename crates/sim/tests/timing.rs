@@ -1,7 +1,7 @@
 //! Timing-level integration tests of the simulator: compaction speeds up
 //! divergent kernels, never changes results, and never hurts coherent code.
 
-use iwc_compaction::CompactionMode;
+use iwc_compaction::EngineId;
 use iwc_isa::builder::KernelBuilder;
 use iwc_isa::insn::CondOp;
 use iwc_isa::reg::{FlagReg, Operand, Predicate};
@@ -68,7 +68,7 @@ fn divergent_kernel(rounds: u32) -> Program {
     b.finish().unwrap()
 }
 
-fn run(kernel: Program, mode: CompactionMode, args: &[u32], img: &mut MemoryImage) -> SimResult {
+fn run(kernel: Program, mode: EngineId, args: &[u32], img: &mut MemoryImage) -> SimResult {
     let cfg = GpuConfig::paper_default().with_compaction(mode);
     let launch = Launch::new(kernel, 256, 64).with_args(args);
     simulate(&cfg, &launch, img).expect("simulation completes")
@@ -77,7 +77,7 @@ fn run(kernel: Program, mode: CompactionMode, args: &[u32], img: &mut MemoryImag
 #[test]
 fn coherent_kernel_identical_across_modes() {
     let mut cycles = Vec::new();
-    for mode in CompactionMode::ALL {
+    for mode in EngineId::CANONICAL {
         let mut img = MemoryImage::new(1 << 20);
         let a = img.alloc_f32(&(0..256).map(|i| i as f32).collect::<Vec<_>>());
         let out = img.alloc(256 * 4);
@@ -106,7 +106,7 @@ fn coherent_kernel_identical_across_modes() {
 #[test]
 fn divergent_kernel_results_mode_invariant() {
     let mut reference: Option<Vec<f32>> = None;
-    for mode in CompactionMode::ALL {
+    for mode in EngineId::CANONICAL {
         let mut img = MemoryImage::new(1 << 20);
         let out = img.alloc(256 * 4);
         let _ = run(divergent_kernel(32), mode, &[out], &mut img);
@@ -121,15 +121,15 @@ fn divergent_kernel_results_mode_invariant() {
 #[test]
 fn compaction_speeds_up_divergent_kernel() {
     let mut cycles = std::collections::HashMap::new();
-    for mode in CompactionMode::ALL {
+    for mode in EngineId::CANONICAL {
         let mut img = MemoryImage::new(1 << 20);
         let out = img.alloc(256 * 4);
         let r = run(divergent_kernel(64), mode, &[out], &mut img);
         cycles.insert(mode, r.cycles);
     }
-    let base = cycles[&CompactionMode::Baseline];
-    let bcc = cycles[&CompactionMode::Bcc];
-    let scc = cycles[&CompactionMode::Scc];
+    let base = cycles[&EngineId::BASELINE];
+    let bcc = cycles[&EngineId::BCC];
+    let scc = cycles[&EngineId::SCC];
     assert!(bcc < base, "BCC {bcc} should beat baseline {base}");
     assert!(scc <= bcc, "SCC {scc} should not lose to BCC {bcc}");
     // The if-side has 2/16 lanes active over a long chain: BCC saves ~3 of
@@ -144,7 +144,7 @@ fn eu_cycle_accounting_is_mode_independent() {
     // every run reports the same per-mode EU cycles regardless of which mode
     // it timed.
     let mut per_mode = Vec::new();
-    for mode in CompactionMode::ALL {
+    for mode in EngineId::CANONICAL {
         let mut img = MemoryImage::new(1 << 20);
         let out = img.alloc(256 * 4);
         let r = run(divergent_kernel(16), mode, &[out], &mut img);
@@ -157,7 +157,7 @@ fn eu_cycle_accounting_is_mode_independent() {
 fn memory_stream_is_mode_independent() {
     // Invariant 4: intra-warp compaction adds no memory divergence.
     let mut lines = Vec::new();
-    for mode in CompactionMode::ALL {
+    for mode in EngineId::CANONICAL {
         let mut img = MemoryImage::new(1 << 20);
         let out = img.alloc(256 * 4);
         let r = run(divergent_kernel(8), mode, &[out], &mut img);

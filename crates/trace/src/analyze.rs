@@ -2,30 +2,30 @@
 //!
 //! The paper's trace-based methodology (§5.1): given the execution masks of
 //! every executed instruction, evaluate each under the Baseline / Ivy Bridge
-//! / BCC / SCC cycle models and report savings. This is a pure function of
-//! the trace — the same arithmetic the simulator applies online.
+//! / BCC / SCC cycle models (plus any ablation engines asked for) and report
+//! savings. This is a pure function of the trace — the same arithmetic the
+//! simulator applies online.
 
 use crate::format::{Trace, TraceIoError, TraceRecord};
 use crate::pack::CorpusPack;
-use crate::source::{for_each_run, SliceSource, TraceSource};
-use iwc_compaction::{
-    CompactionMode, CompactionTally, EngineId, EngineTally, TallyMemo, UtilBucket,
-};
+use crate::source::{SliceSource, TraceSource};
+use iwc_compaction::{CompactionTally, EngineId, TallyMemo, UtilBucket};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
+use std::sync::{Mutex, PoisonError};
 
 /// Analysis result of one trace.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TraceReport {
     /// Workload name.
     pub name: String,
-    /// Full compaction accounting.
+    /// Full compaction accounting, with a cycle column for every extra
+    /// engine the analysis was asked for.
     pub tally: CompactionTally,
     /// Number of maximal `(mask, dtype)` runs in the record stream, as
-    /// [`for_each_run`] groups them — `instructions / runs` is the mean
-    /// run length, which says how well an RLE pack compresses the trace.
-    /// Reports serialized before this field existed deserialize to 0.
-    #[serde(default)]
+    /// [`crate::for_each_run`] groups them — `instructions / runs` is the
+    /// mean run length, which says how well an RLE pack compresses the
+    /// trace.
     pub runs: u64,
 }
 
@@ -40,26 +40,21 @@ impl TraceReport {
         self.tally.is_coherent()
     }
 
-    /// EU-cycle reduction of the engine over the Ivy Bridge baseline
-    /// (Fig. 10). Accepts a [`CompactionMode`] or the [`EngineId`] of one of
-    /// the four canonical engines; for ablation engines use
-    /// [`analyze_engines`], which accounts arbitrary engine sets.
+    /// EU-cycle reduction of `engine` over the Ivy Bridge baseline
+    /// (Fig. 10).
     ///
     /// # Panics
     ///
-    /// Panics when the engine is not one of the paper's four modes.
-    pub fn reduction(&self, engine: impl Into<EngineId>) -> f64 {
-        let id: EngineId = engine.into();
-        let mode = id.mode().unwrap_or_else(|| {
-            panic!("TraceReport accounts the four canonical modes only; use analyze_engines")
-        });
-        self.tally.reduction_vs_ivb(mode)
+    /// Panics when the tally does not account `engine`: ablation engines
+    /// must be passed to [`analyze_source_engines`].
+    pub fn reduction(&self, engine: EngineId) -> f64 {
+        self.tally.reduction_vs(engine, EngineId::IVY_BRIDGE)
     }
 
     /// Additional SCC benefit beyond BCC, in absolute percentage points of
     /// the Ivy Bridge cycle count (the stacked segment of Fig. 10).
     pub fn scc_extra(&self) -> f64 {
-        self.reduction(CompactionMode::Scc) - self.reduction(CompactionMode::Bcc)
+        self.reduction(EngineId::SCC) - self.reduction(EngineId::BCC)
     }
 
     /// Utilization-bucket fractions (Fig. 9).
@@ -68,34 +63,51 @@ impl TraceReport {
     }
 }
 
-/// Analyzes a streaming source chunk by chunk — the core entry point;
-/// peak memory is O(chunk) whatever the trace length.
-///
-/// Every record is charged once through a [`TallyMemo`], so the four cycle
-/// models and the SCC swizzle cost are evaluated once per *distinct mask
-/// in the working set*; a memo hit adds the slot's nine byte fields to the
-/// tally. The memo is transparent, so the result is exactly the
-/// per-record [`CompactionTally::add`] accounting — the differential tests
-/// pin the equivalence. Runs are counted in the same pass, one compare
-/// per record, and equal [`for_each_run`]'s count.
+/// Analyzes a streaming source under the four canonical engines — see
+/// [`analyze_source_engines`].
 ///
 /// # Errors
 ///
 /// Propagates stream failures (unreadable or malformed sources).
 pub fn analyze_source(src: &mut dyn TraceSource) -> Result<TraceReport, TraceIoError> {
+    analyze_source_engines(src, &EngineId::CANONICAL)
+}
+
+/// Analyzes a streaming source chunk by chunk under the canonical engines
+/// plus every non-canonical engine in `ids` — the one analyzer fold;
+/// peak memory is O(chunk) whatever the trace length.
+///
+/// Every record is charged once through a [`TallyMemo`], so the four cycle
+/// models and the SCC swizzle cost are evaluated once per *distinct mask
+/// in the working set*; a memo hit adds the slot's nine byte fields to the
+/// tally, and each extra engine (none for a canonical analysis) adds its
+/// own cycles. The memo is transparent, so the result is exactly the
+/// per-record [`CompactionTally::add`] accounting — the differential tests
+/// pin the equivalence. Runs are counted in the same pass, one compare
+/// per record, and equal [`crate::for_each_run`]'s count.
+///
+/// # Errors
+///
+/// Propagates stream failures (unreadable or malformed sources).
+pub fn analyze_source_engines(
+    src: &mut dyn TraceSource,
+    ids: &[EngineId],
+) -> Result<TraceReport, TraceIoError> {
     // Divergence traces carry tens of thousands of distinct masks with a
     // mean run length near 1 on the synthetic corpus, so the memo decides
     // whether the cycle models are evaluated per record or per distinct
-    // mask. One analyzer-sized memo per thread, reused across traces:
-    // keys are (mask, dtype) alone, so cross-trace reuse is sound (the
-    // memo is transparent by contract), and the 1 MiB table is paid once
-    // per worker instead of zeroed per trace.
-    thread_local! {
-        static MEMO: std::cell::RefCell<TallyMemo> =
-            std::cell::RefCell::new(TallyMemo::with_ways(TallyMemo::ANALYZER_WAYS));
-    }
+    // mask. Analyzer-sized memos are pooled across threads and reused
+    // across traces: keys are (mask, dtype) alone, so cross-trace reuse
+    // is sound (the memo is transparent by contract), and the 1 MiB table
+    // is paid once per *concurrent* analysis instead of zeroed per trace
+    // or held by every thread that ever analyzed one.
+    static MEMOS: Mutex<Vec<TallyMemo>> = Mutex::new(Vec::new());
+    let pool = || MEMOS.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut memo = pool()
+        .pop()
+        .unwrap_or_else(|| TallyMemo::with_ways(TallyMemo::ANALYZER_WAYS));
     let name = src.name().to_owned();
-    let mut tally = CompactionTally::new();
+    let mut tally = CompactionTally::with_engines(ids);
     let mut runs = 0u64;
     // Width 0 is never a legal record, so the first record opens a run.
     let mut prev = TraceRecord {
@@ -103,8 +115,7 @@ pub fn analyze_source(src: &mut dyn TraceSource) -> Result<TraceReport, TraceIoE
         width: 0,
         dtype: iwc_isa::types::DataType::F,
     };
-    MEMO.with(|memo| {
-        let memo = &mut *memo.borrow_mut();
+    let mut fold = || {
         while let Some(chunk) = src.next_chunk()? {
             for &r in chunk {
                 runs += u64::from(r != prev);
@@ -113,48 +124,16 @@ pub fn analyze_source(src: &mut dyn TraceSource) -> Result<TraceReport, TraceIoE
             }
         }
         Ok::<_, TraceIoError>(())
-    })?;
+    };
+    let folded = fold();
+    pool().push(memo);
+    folded?;
     Ok(TraceReport { name, tally, runs })
 }
 
 /// Analyzes a materialized trace (adapter over [`analyze_source`]).
 pub fn analyze(trace: &Trace) -> TraceReport {
     analyze_source(&mut SliceSource::from(trace)).expect("slice sources cannot fail")
-}
-
-/// Analysis of one trace under an arbitrary set of compaction engines —
-/// the engine-generic counterpart of [`TraceReport`], used by ablation
-/// sweeps that include non-canonical engines (e.g. distance-limited
-/// swizzle networks).
-#[derive(Clone, Debug, PartialEq)]
-pub struct EngineReport {
-    /// Workload name.
-    pub name: String,
-    /// Per-engine cycle accounting.
-    pub tally: EngineTally,
-}
-
-/// Analyzes a streaming source under the given engines, chunk by chunk.
-///
-/// # Errors
-///
-/// Propagates stream failures (unreadable or malformed sources).
-pub fn analyze_source_engines(
-    src: &mut dyn TraceSource,
-    ids: &[EngineId],
-) -> Result<EngineReport, TraceIoError> {
-    let name = src.name().to_owned();
-    let mut tally = EngineTally::new(ids);
-    for_each_run(src, |r, n| {
-        tally.add_run(r.mask(), r.dtype, n);
-    })?;
-    Ok(EngineReport { name, tally })
-}
-
-/// Analyzes a materialized trace under the given engines (adapter over
-/// [`analyze_source_engines`]).
-pub fn analyze_engines(trace: &Trace, ids: &[EngineId]) -> EngineReport {
-    analyze_source_engines(&mut SliceSource::from(trace), ids).expect("slice sources cannot fail")
 }
 
 /// Deterministic order-preserving fan-out over `n` independent shards:
@@ -172,7 +151,6 @@ where
         return (0..n).map(&run_one).collect();
     }
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
@@ -197,16 +175,6 @@ where
         .collect()
 }
 
-/// Deterministic order-preserving fan-out over a corpus: each profile is
-/// generated and reduced to a report on a scoped worker pool.
-fn corpus_fanout<R, F>(profiles: &[crate::synth::Profile], threads: usize, analyze_one: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&crate::synth::Profile) -> R + Sync,
-{
-    fanout(profiles.len(), threads, |i| analyze_one(&profiles[i]))
-}
-
 /// Generates and analyzes every profile of a corpus on a scoped worker
 /// pool, returning reports in corpus order regardless of the thread count
 /// (`threads` is clamped to at least 1; pass 1 for a serial sweep).
@@ -219,21 +187,8 @@ pub fn analyze_corpus(
     len: usize,
     threads: usize,
 ) -> Vec<TraceReport> {
-    corpus_fanout(profiles, threads, |p| {
-        analyze_source(&mut p.source(len)).expect("synthesis cannot fail")
-    })
-}
-
-/// [`analyze_corpus`] under an arbitrary engine set: the same deterministic
-/// fan-out, but every instruction is accounted by each engine in `ids`.
-pub fn analyze_corpus_engines(
-    profiles: &[crate::synth::Profile],
-    len: usize,
-    threads: usize,
-    ids: &[EngineId],
-) -> Vec<EngineReport> {
-    corpus_fanout(profiles, threads, |p| {
-        analyze_source_engines(&mut p.source(len), ids).expect("synthesis cannot fail")
+    fanout(profiles.len(), threads, |i| {
+        analyze_source(&mut profiles[i].source(len)).expect("synthesis cannot fail")
     })
 }
 
@@ -248,44 +203,20 @@ pub fn analyze_corpus_engines(
 /// Propagates the first open or stream failure, including per-trace
 /// content-hash mismatches.
 pub fn analyze_pack_file(path: &Path, threads: usize) -> Result<Vec<TraceReport>, TraceIoError> {
-    analyze_pack_file_with(path, threads, |src| analyze_source(src))
-}
-
-/// [`analyze_pack_file`] under an arbitrary engine set.
-///
-/// # Errors
-///
-/// Propagates the first open or stream failure.
-pub fn analyze_pack_file_engines(
-    path: &Path,
-    threads: usize,
-    ids: &[EngineId],
-) -> Result<Vec<EngineReport>, TraceIoError> {
-    analyze_pack_file_with(path, threads, |src| analyze_source_engines(src, ids))
-}
-
-fn analyze_pack_file_with<R, F>(
-    path: &Path,
-    threads: usize,
-    analyze_one: F,
-) -> Result<Vec<R>, TraceIoError>
-where
-    R: Send,
-    F: Fn(&mut dyn TraceSource) -> Result<R, TraceIoError> + Sync,
-{
     // One open up front surfaces header/index errors before any worker
     // spawns and fixes the shard count.
     let mut first = CorpusPack::open_path(path)?;
     let n = first.len();
     let pool = threads.max(1).min(n.max(1));
     if pool <= 1 {
-        return (0..n).map(|i| analyze_one(&mut first.stream(i)?)).collect();
+        return (0..n)
+            .map(|i| analyze_source(&mut first.stream(i)?))
+            .collect();
     }
     drop(first);
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<R, TraceIoError>>>> =
+    let slots: Vec<Mutex<Option<Result<TraceReport, TraceIoError>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
         for _ in 0..pool {
@@ -309,7 +240,7 @@ where
                     if i >= n {
                         break;
                     }
-                    let report = pack.stream(i).and_then(|mut src| analyze_one(&mut src));
+                    let report = pack.stream(i).and_then(|mut src| analyze_source(&mut src));
                     *slots[i].lock().expect("report slot poisoned") = Some(report);
                 }
             });
@@ -365,7 +296,7 @@ mod tests {
         t.push(ExecMask::all(16), DataType::F);
         let r = analyze(&t);
         // ivb = 4 + 4 = 8; bcc = 2 + 4 = 6 → 25% reduction.
-        assert_eq!(r.reduction(CompactionMode::Bcc), 0.25);
+        assert_eq!(r.reduction(EngineId::BCC), 0.25);
         assert_eq!(r.scc_extra(), 0.0);
         assert_eq!(r.simd_efficiency(), 0.75);
         assert!(!r.is_coherent());
@@ -376,8 +307,8 @@ mod tests {
         let mut t = Trace::new("t");
         t.push(ExecMask::new(0xAAAA, 16), DataType::F);
         let r = analyze(&t);
-        assert_eq!(r.reduction(CompactionMode::Bcc), 0.0);
-        assert_eq!(r.reduction(CompactionMode::Scc), 0.5);
+        assert_eq!(r.reduction(EngineId::BCC), 0.0);
+        assert_eq!(r.reduction(EngineId::SCC), 0.5);
         assert_eq!(r.scc_extra(), 0.5);
     }
 
@@ -385,7 +316,7 @@ mod tests {
     fn empty_trace_is_coherent() {
         let r = analyze(&Trace::new("empty"));
         assert!(r.is_coherent());
-        assert_eq!(r.reduction(CompactionMode::Scc), 0.0);
+        assert_eq!(r.reduction(EngineId::SCC), 0.0);
     }
 
     #[test]

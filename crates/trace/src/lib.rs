@@ -14,9 +14,9 @@
 //! * [`mod@store`] — the corpus directory layout (`IWC_CORPUS_DIR`) and
 //!   the content-addressed results cache;
 //! * [`mod@analyze`] — per-trace compaction analysis (SIMD efficiency,
-//!   Fig. 9 utilization buckets, Fig. 10 BCC/SCC cycle reductions),
-//!   streaming at the core with slice adapters on top, plus sharded
-//!   whole-pack analysis;
+//!   Fig. 9 utilization buckets, Fig. 10 BCC/SCC cycle reductions, and
+//!   cycles under any ablation engine), one streaming fold at the core
+//!   with slice adapters on top, plus sharded whole-pack analysis;
 //! * [`synth`] — parameterized synthetic generators standing in for the
 //!   paper's proprietary ~600-trace corpus (LuxMark, GLBench, Sandra,
 //!   BulletPhysics, Face-Detection, …), documented as a substitution in
@@ -25,13 +25,21 @@
 //! # Examples
 //!
 //! ```
-//! use iwc_trace::{analyze, synth};
-//! use iwc_compaction::CompactionMode;
+//! use iwc_compaction::{EngineId, SccLimited};
+//! use iwc_trace::{analyze_source, analyze_source_engines, synth};
 //!
 //! let profile = &synth::corpus()[0]; // LuxMark-sky
-//! let report = analyze::analyze_source(&mut profile.source(10_000)).unwrap();
+//! let report = analyze_source(&mut profile.source(10_000)).unwrap();
 //! assert!(!report.is_coherent());
-//! assert!(report.reduction(CompactionMode::Scc) >= report.reduction(CompactionMode::Bcc));
+//! assert!(report.reduction(EngineId::SCC) >= report.reduction(EngineId::BCC));
+//!
+//! // The same fold with a distance-limited swizzle network as an extra
+//! // cycle column: reach 1 lands between BCC and full SCC.
+//! let k1 = SccLimited::register(1);
+//! let ablation = analyze_source_engines(&mut profile.source(10_000), &[k1]).unwrap();
+//! assert_eq!(ablation.tally.cycles, report.tally.cycles);
+//! let r = ablation.reduction(k1);
+//! assert!(report.reduction(EngineId::BCC) <= r && r <= report.reduction(EngineId::SCC));
 //! ```
 
 #![warn(missing_docs)]
@@ -46,9 +54,8 @@ pub mod store;
 pub mod synth;
 
 pub use analyze::{
-    analyze, analyze_corpus, analyze_corpus_engines, analyze_engines, analyze_pack_file,
-    analyze_pack_file_engines, analyze_source, analyze_source_engines, corpus_snapshot,
-    EngineReport, TraceReport,
+    analyze, analyze_corpus, analyze_pack_file, analyze_source, analyze_source_engines,
+    corpus_snapshot, TraceReport,
 };
 pub use format::{Trace, TraceIoError, TraceRecord};
 pub use hash::trace_hash;

@@ -9,8 +9,8 @@
 //!
 //! Implementations:
 //!
-//! * [`SliceSource`] — adapter over an in-memory record slice (the legacy
-//!   `analyze(&Trace)` entry points are thin wrappers over this);
+//! * [`SliceSource`] — adapter over an in-memory record slice
+//!   (`analyze(&Trace)` is a thin wrapper over this);
 //! * [`crate::synth::SynthSource`] — records synthesized on the fly from a
 //!   [`crate::synth::Profile`], never holding more than one chunk;
 //! * [`crate::pack::PackTraceReader`] — sequential chunked reads of one

@@ -381,7 +381,7 @@ pub const DEFAULT_TRACE_LEN: usize = 50_000;
 mod tests {
     use super::*;
     use crate::analyze::analyze;
-    use iwc_compaction::CompactionMode;
+    use iwc_compaction::EngineId;
 
     #[test]
     fn efficiency_matches_target() {
@@ -405,8 +405,8 @@ mod tests {
             .find(|p| p.name == "FD_politicians")
             .unwrap();
         let r = analyze(&prof.generate(30_000));
-        let bcc = r.reduction(CompactionMode::Bcc);
-        let scc = r.reduction(CompactionMode::Scc);
+        let bcc = r.reduction(EngineId::BCC);
+        let scc = r.reduction(EngineId::SCC);
         assert!(
             scc > 2.0 * bcc,
             "FD: scc {scc:.3} should dominate bcc {bcc:.3}"
@@ -418,7 +418,7 @@ mod tests {
     fn quad_aligned_profiles_are_bcc_dominated() {
         let prof = corpus().into_iter().find(|p| p.name == "OptSAA").unwrap();
         let r = analyze(&prof.generate(30_000));
-        let bcc = r.reduction(CompactionMode::Bcc);
+        let bcc = r.reduction(EngineId::BCC);
         let extra = r.scc_extra();
         assert!(bcc > 0.10, "OptSAA: bcc {bcc:.3}");
         assert!(

@@ -7,13 +7,17 @@
 //! masks, and include runs longer than [`CHUNK_RECORDS`] that straddle
 //! chunk boundaries. Over plain and RLE packs alike, `analyze_source` must
 //! equal [`CompactionTally::add`] per record, and its run count must equal
-//! [`for_each_run`]'s.
+//! [`for_each_run`]'s. The same fold with ablation engines must add each
+//! extra engine's cycles per record without disturbing the canonical
+//! fields.
 
-use iwc_compaction::CompactionTally;
+use iwc_compaction::{CompactionTally, EngineId, SccLimited};
 use iwc_isa::{DataType, ExecMask};
+use iwc_telemetry::TelemetrySnapshot;
 use iwc_trace::pack::{write_pack_file, write_pack_file_rle, CorpusPack};
 use iwc_trace::{
-    analyze_pack_file, analyze_source, for_each_run, SliceSource, Trace, CHUNK_RECORDS,
+    analyze_pack_file, analyze_source, analyze_source_engines, for_each_run, SliceSource, Trace,
+    TraceSource, CHUNK_RECORDS,
 };
 use std::path::PathBuf;
 
@@ -162,4 +166,141 @@ fn analyzer_matches_per_record_accounting_on_mixed_packs() {
         }
         let _ = std::fs::remove_file(&path);
     }
+}
+
+/// The ablation sweep's engine set: IVB, BCC, every swizzle reach, SCC.
+fn ablation_ids() -> Vec<EngineId> {
+    let mut ids = vec![EngineId::IVY_BRIDGE, EngineId::BCC];
+    ids.extend((0..=3).map(SccLimited::register));
+    ids.push(EngineId::SCC);
+    ids
+}
+
+/// Checks one engine-set report against the per-record references: every
+/// engine's cycles are the per-record sum of `id.engine().cycles`, the
+/// canonical fields are exactly [`CompactionTally::add`]'s, and the run
+/// count is [`for_each_run`]'s.
+fn assert_engine_fold(
+    src: &mut dyn TraceSource,
+    ids: &[EngineId],
+    t: &Trace,
+    (tally, runs): &(CompactionTally, u64),
+    what: &str,
+) {
+    let report = analyze_source_engines(src, ids).unwrap();
+    for &id in ids {
+        let engine = id.engine();
+        let want: u64 = t
+            .records
+            .iter()
+            .map(|r| u64::from(engine.cycles(r.mask(), r.dtype)))
+            .sum();
+        assert_eq!(report.tally.cycles_of(id), want, "{}: {id} {what}", t.name);
+    }
+    let got = &report.tally;
+    assert_eq!(got.cycles, tally.cycles, "{}: cycles {what}", t.name);
+    assert_eq!(got.instructions, tally.instructions, "{}: {what}", t.name);
+    assert_eq!(
+        got.active_channels, tally.active_channels,
+        "{} {what}",
+        t.name
+    );
+    assert_eq!(
+        got.total_channels, tally.total_channels,
+        "{} {what}",
+        t.name
+    );
+    assert_eq!(got.buckets, tally.buckets, "{}: buckets {what}", t.name);
+    assert_eq!(
+        got.bcc_fetches_saved, tally.bcc_fetches_saved,
+        "{} {what}",
+        t.name
+    );
+    assert_eq!(got.scc_swizzles, tally.scc_swizzles, "{}: {what}", t.name);
+    assert_eq!(report.runs, *runs, "{}: runs {what}", t.name);
+}
+
+#[test]
+fn engine_fold_matches_per_record_engine_cycles() {
+    let ids = ablation_ids();
+    let mut traces = vec![straddling()];
+    traces.extend((0..3).map(|i| mixed(&format!("mixed-{i}"), 0x5EED + i, 60)));
+    let expected: Vec<_> = traces.iter().map(reference).collect();
+    for w in WIDTHS {
+        assert!(
+            traces
+                .iter()
+                .flat_map(|t| &t.records)
+                .any(|r| u32::from(r.width) == w),
+            "width {w} missing from the traces"
+        );
+    }
+
+    for (t, want) in traces.iter().zip(&expected) {
+        assert_engine_fold(&mut SliceSource::from(t), &ids, t, want, "from a slice");
+    }
+    for rle in [false, true] {
+        let path = tmp_path(if rle { "engines-rle" } else { "engines-plain" });
+        if rle {
+            write_pack_file_rle(&path, &traces).unwrap();
+        } else {
+            write_pack_file(&path, &traces).unwrap();
+        }
+        let mut pack = CorpusPack::open_path(&path).unwrap();
+        for (i, (t, want)) in traces.iter().zip(&expected).enumerate() {
+            let what = format!("(rle {rle})");
+            assert_engine_fold(&mut pack.stream(i).unwrap(), &ids, t, want, &what);
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+#[test]
+#[should_panic(expected = "merging tallies of different engine sets")]
+fn merge_rejects_mismatched_engine_sets() {
+    let k1 = SccLimited::register(1);
+    let k2 = SccLimited::register(2);
+    let mut a = CompactionTally::with_engines(&[k1]);
+    a.merge(&CompactionTally::with_engines(&[k2]));
+}
+
+#[test]
+fn canonical_tally_publishes_no_extra_names() {
+    let t = straddling();
+    let canonical = analyze_source(&mut SliceSource::from(&t)).unwrap();
+    // Naming the canonical engines explicitly builds the same tally.
+    let named = analyze_source_engines(&mut SliceSource::from(&t), &EngineId::CANONICAL).unwrap();
+    assert_eq!(named, canonical);
+    let mut snap = TelemetrySnapshot::new();
+    snap.publish("corpus", &canonical.tally);
+    let cycles: Vec<&str> = snap
+        .counters()
+        .map(|(k, _)| k)
+        .filter(|k| k.starts_with("corpus/cycles/"))
+        .collect();
+    assert_eq!(
+        cycles,
+        [
+            "corpus/cycles/base",
+            "corpus/cycles/bcc",
+            "corpus/cycles/ivb",
+            "corpus/cycles/scc"
+        ]
+    );
+
+    // An ablation tally adds exactly one name per extra engine.
+    let k1 = SccLimited::register(1);
+    let ablation = analyze_source_engines(&mut SliceSource::from(&t), &[k1]).unwrap();
+    let mut snap = TelemetrySnapshot::new();
+    snap.publish("corpus", &ablation.tally);
+    assert_eq!(
+        snap.counter("corpus/cycles/scc-k1"),
+        Some(ablation.tally.cycles_of(k1))
+    );
+    assert_eq!(
+        snap.counters()
+            .filter(|(k, _)| k.starts_with("corpus/cycles/"))
+            .count(),
+        5
+    );
 }

@@ -10,12 +10,8 @@
 //! 1/2/4 shards, and the text (`IWCT`) ↔ pack round trip preserves the
 //! analysis reports of the full base corpus exactly.
 
-use iwc_compaction::EngineId;
 use iwc_trace::pack::{CorpusPack, PackWriter, PACK_HEADER_BYTES};
-use iwc_trace::{
-    analyze_engines, analyze_pack_file, analyze_pack_file_engines, expanded_corpus, trace_hash,
-    Trace, TraceIoError,
-};
+use iwc_trace::{analyze, analyze_pack_file, expanded_corpus, trace_hash, Trace, TraceIoError};
 use std::io::Cursor;
 use std::path::PathBuf;
 
@@ -194,8 +190,8 @@ fn text_pack_round_trip_preserves_reports_on_the_full_corpus() {
         let back = pack.read_trace(i).unwrap();
         assert_eq!(&back, t, "trace {i} must round-trip byte-identically");
         assert_eq!(
-            analyze_engines(&back, &EngineId::CANONICAL),
-            analyze_engines(t, &EngineId::CANONICAL),
+            analyze(&back),
+            analyze(t),
             "analysis of {} must survive the round trip",
             t.name
         );
@@ -215,11 +211,8 @@ fn expanded_pack_streaming_matches_in_memory_and_is_shard_invariant() {
     let path = tmp_path("equivalence");
     iwc_trace::pack::write_pack_file(&path, &traces).unwrap();
 
-    let in_memory: Vec<_> = traces
-        .iter()
-        .map(|t| analyze_engines(t, &EngineId::CANONICAL))
-        .collect();
-    let streamed = analyze_pack_file_engines(&path, 2, &EngineId::CANONICAL).unwrap();
+    let in_memory: Vec<_> = traces.iter().map(analyze).collect();
+    let streamed = analyze_pack_file(&path, 2).unwrap();
     assert_eq!(streamed, in_memory, "streaming must match the slice path");
 
     let one = analyze_pack_file(&path, 1).unwrap();

@@ -1,7 +1,7 @@
 //! Property-based tests of the trace layer: serialization round-trips and
 //! synthetic-generator guarantees.
 
-use iwc_compaction::CompactionMode;
+use iwc_compaction::EngineId;
 use iwc_isa::mask::ExecMask;
 use iwc_isa::types::DataType;
 use iwc_trace::{analyze, Trace};
@@ -83,8 +83,8 @@ proptest! {
         let t = p.generate(len);
         prop_assert_eq!(t.len(), len);
         let r = analyze(&t);
-        let bcc = r.reduction(CompactionMode::Bcc);
-        let scc = r.reduction(CompactionMode::Scc);
+        let bcc = r.reduction(EngineId::BCC);
+        let scc = r.reduction(EngineId::SCC);
         prop_assert!(scc >= bcc - 1e-12);
         prop_assert!((0.0..=1.0).contains(&bcc));
         prop_assert!((0.0..=1.0).contains(&scc));

@@ -8,14 +8,10 @@
 //! the codec (runs straddling chunk boundaries, pure run-length-1
 //! alternation, one trace-sized run).
 
-use iwc_compaction::EngineId;
 use iwc_isa::{DataType, ExecMask};
 use iwc_trace::pack::{write_pack_file, write_pack_file_rle, CorpusPack};
 use iwc_trace::synth::DEFAULT_EXPANDED_TRACES;
-use iwc_trace::{
-    analyze_pack_file, analyze_pack_file_engines, expanded_corpus, Trace, TraceRecord,
-    CHUNK_RECORDS,
-};
+use iwc_trace::{analyze_pack_file, expanded_corpus, Trace, TraceRecord, CHUNK_RECORDS};
 use std::path::PathBuf;
 
 fn tmp_path(tag: &str) -> PathBuf {
@@ -57,8 +53,8 @@ fn assert_rle_equivalent(traces: &[Trace], tag: &str) {
 
     // Analysis (which consumes the streams run-by-run) cannot tell the
     // encodings apart, at any shard count.
-    let on_plain = analyze_pack_file_engines(&plain_path, 2, &EngineId::CANONICAL).unwrap();
-    let on_rle = analyze_pack_file_engines(&rle_path, 2, &EngineId::CANONICAL).unwrap();
+    let on_plain = analyze_pack_file(&plain_path, 2).unwrap();
+    let on_rle = analyze_pack_file(&rle_path, 2).unwrap();
     assert_eq!(on_plain, on_rle, "{tag}: analysis reports diverged");
     assert_eq!(
         analyze_pack_file(&rle_path, 1).unwrap(),

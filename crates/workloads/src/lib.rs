@@ -85,23 +85,21 @@ impl Built {
     }
 
     /// Sweeps the workload across compaction engines (checked variant of
-    /// [`iwc_sim::Gpu::run_modes`]; accepts [`iwc_compaction::CompactionMode`]s
-    /// or registry [`iwc_compaction::EngineId`]s): every engine runs cold
-    /// against a fresh copy of the inputs and must pass the functional
-    /// check, so a mode can never *look* faster by computing the wrong
-    /// answer.
+    /// [`iwc_sim::Gpu::run_modes`]): every engine runs cold against a
+    /// fresh copy of the inputs and must pass the functional check, so a
+    /// mode can never *look* faster by computing the wrong answer.
     ///
     /// # Errors
     ///
     /// Returns the first simulator error or check failure.
-    pub fn run_modes<M: Into<iwc_compaction::EngineId> + Copy>(
+    pub fn run_modes(
         &self,
         cfg: &GpuConfig,
-        modes: &[M],
+        engines: &[iwc_compaction::EngineId],
     ) -> Result<Vec<SimResult>, String> {
-        modes
+        engines
             .iter()
-            .map(|&m| self.run_checked(&cfg.with_compaction(m)))
+            .map(|&e| self.run_checked(&cfg.with_compaction(e)))
             .collect()
     }
 }

@@ -266,7 +266,7 @@ pub fn nested_branches(levels: u32, scale: u32) -> Built {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iwc_compaction::CompactionMode;
+    use iwc_compaction::EngineId;
     use iwc_sim::GpuConfig;
 
     #[test]
@@ -288,8 +288,8 @@ mod tests {
         assert!(r.simd_efficiency() < 0.7, "eff {:.3}", r.simd_efficiency());
         // SCC halves the branch-body cycles; BCC can't touch 0xAAAA/0x5555.
         let t = r.compute_tally();
-        assert!(t.reduction_vs_ivb(CompactionMode::Scc) > 0.3);
-        assert!(t.reduction_vs_ivb(CompactionMode::Bcc) < 0.05);
+        assert!(t.reduction_vs_ivb(EngineId::SCC) > 0.3);
+        assert!(t.reduction_vs_ivb(EngineId::BCC) < 0.05);
     }
 
     #[test]

@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         100.0
             * result
                 .compute_tally()
-                .reduction_vs_ivb(intra_warp_compaction::compaction::CompactionMode::Scc)
+                .reduction_vs_ivb(intra_warp_compaction::compaction::EngineId::SCC)
     );
     Ok(())
 }

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example multilevel_bfs`
 
-use intra_warp_compaction::compaction::CompactionMode;
+use intra_warp_compaction::compaction::EngineId;
 use intra_warp_compaction::sim::GpuConfig;
 use intra_warp_compaction::workloads::rodinia::bfs_full;
 
@@ -18,7 +18,7 @@ fn main() -> Result<(), String> {
             r.cycles,
             100.0 * r.simd_efficiency(),
             100.0 * r.l3_hit_rate,
-            100.0 * r.compute_tally().reduction_vs_ivb(CompactionMode::Scc),
+            100.0 * r.compute_tally().reduction_vs_ivb(EngineId::SCC),
         );
     }
     let total: u64 = results.iter().map(|r| r.cycles).sum();

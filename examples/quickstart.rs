@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use intra_warp_compaction::compaction::CompactionMode;
+use intra_warp_compaction::compaction::EngineId;
 use intra_warp_compaction::isa::{CondOp, FlagReg, KernelBuilder, MemSpace, Operand, Predicate};
 use intra_warp_compaction::sim::{simulate, GpuConfig, Launch, MemoryImage};
 
@@ -40,13 +40,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{program}");
 
     let mut baseline = 0u64;
-    for mode in CompactionMode::ALL {
+    for mode in EngineId::CANONICAL {
         let mut img = MemoryImage::new(1 << 20);
         let out = img.alloc(1024 * 4);
         let launch = Launch::new(program.clone(), 1024, 64).with_args(&[out]);
         let cfg = GpuConfig::paper_default().with_compaction(mode);
         let r = simulate(&cfg, &launch, &mut img)?;
-        if mode == CompactionMode::Baseline {
+        if mode == EngineId::BASELINE {
             baseline = r.cycles;
         }
         println!(

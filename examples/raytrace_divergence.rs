@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example raytrace_divergence`
 
-use intra_warp_compaction::compaction::CompactionMode;
+use intra_warp_compaction::compaction::EngineId;
 use intra_warp_compaction::sim::GpuConfig;
 use intra_warp_compaction::workloads::raytrace::{ambient_occlusion, primary, SceneKind};
 
@@ -22,7 +22,7 @@ fn main() {
                 .expect("baseline run");
             let t = base1.compute_tally();
             let scc1 = built
-                .run_checked(&GpuConfig::paper_default().with_compaction(CompactionMode::Scc))
+                .run_checked(&GpuConfig::paper_default().with_compaction(EngineId::SCC))
                 .expect("scc run");
             let base2 = built
                 .run_checked(&GpuConfig::paper_default().with_dc_bandwidth(2.0))
@@ -30,7 +30,7 @@ fn main() {
             let scc2 = built
                 .run_checked(
                     &GpuConfig::paper_default()
-                        .with_compaction(CompactionMode::Scc)
+                        .with_compaction(EngineId::SCC)
                         .with_dc_bandwidth(2.0),
                 )
                 .expect("dc2 scc");
@@ -39,8 +39,8 @@ fn main() {
                 format!("{kind:?}"),
                 label,
                 100.0 * base1.simd_efficiency(),
-                100.0 * t.reduction_vs_ivb(CompactionMode::Bcc),
-                100.0 * t.reduction_vs_ivb(CompactionMode::Scc),
+                100.0 * t.reduction_vs_ivb(EngineId::BCC),
+                100.0 * t.reduction_vs_ivb(EngineId::SCC),
                 100.0 * (1.0 - scc1.cycles as f64 / base1.cycles as f64),
                 100.0 * (1.0 - scc2.cycles as f64 / base2.cycles as f64),
             );

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example swizzle_walkthrough`
 
-use intra_warp_compaction::compaction::{waves, CompactionMode, SccSchedule};
+use intra_warp_compaction::compaction::{waves, EngineId, SccSchedule};
 use intra_warp_compaction::isa::ExecMask;
 
 fn main() {
@@ -22,10 +22,10 @@ fn main() {
         println!("-- {label} --");
         println!(
             "mask {mask}: baseline {} / ivb {} / bcc {} / scc {} cycles, {} swizzles{}",
-            waves(mask, CompactionMode::Baseline),
-            waves(mask, CompactionMode::IvyBridge),
-            waves(mask, CompactionMode::Bcc),
-            waves(mask, CompactionMode::Scc),
+            waves(mask, EngineId::BASELINE),
+            waves(mask, EngineId::IVY_BRIDGE),
+            waves(mask, EngineId::BCC),
+            waves(mask, EngineId::SCC),
             sched.swizzle_count(),
             if sched.is_bcc_like() {
                 " (bcc-like, no crossbar needed)"

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example trace_analysis`
 
-use intra_warp_compaction::compaction::CompactionMode;
+use intra_warp_compaction::compaction::EngineId;
 use intra_warp_compaction::sim::GpuConfig;
 use intra_warp_compaction::trace::{analyze, corpus, Trace};
 use intra_warp_compaction::workloads::rodinia;
@@ -33,8 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "BFS trace: efficiency {:.1}%, BCC -{:.1}%, SCC -{:.1}% EU cycles",
         100.0 * report.simd_efficiency(),
-        100.0 * report.reduction(CompactionMode::Bcc),
-        100.0 * report.reduction(CompactionMode::Scc),
+        100.0 * report.reduction(EngineId::BCC),
+        100.0 * report.reduction(EngineId::SCC),
     );
 
     // 4. The synthetic corpus (stand-in for the paper's ~600 traces).
@@ -45,8 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  {:<22} eff {:>5.1}%  bcc -{:>4.1}%  scc -{:>4.1}%",
             profile.name,
             100.0 * r.simd_efficiency(),
-            100.0 * r.reduction(CompactionMode::Bcc),
-            100.0 * r.reduction(CompactionMode::Scc),
+            100.0 * r.reduction(EngineId::BCC),
+            100.0 * r.reduction(EngineId::SCC),
         );
     }
     Ok(())

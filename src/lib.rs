@@ -19,20 +19,24 @@
 //!
 //! See `DESIGN.md` for the system inventory and the per-experiment index,
 //! and `EXPERIMENTS.md` for paper-versus-measured results. The `iwc-bench`
-//! crate regenerates every table and figure:
-//! `cargo run --release -p iwc-bench --bin fig10`.
+//! crate regenerates every table and figure through one driver:
+//! `cargo run --release -p iwc-bench --bin iwc -- fig10`.
 //!
 //! # Examples
 //!
-//! Measure BCC/SCC cycle compression on a single mask:
+//! Measure BCC/SCC cycle compression on a single mask, under every
+//! canonical engine:
 //!
 //! ```
-//! use intra_warp_compaction::compaction::{execution_cycles, CompactionMode};
+//! use intra_warp_compaction::compaction::{execution_cycles, EngineId};
 //! use intra_warp_compaction::isa::{DataType, ExecMask};
 //!
 //! let mask = ExecMask::new(0xAAAA, 16); // odd channels only
-//! assert_eq!(execution_cycles(mask, DataType::F, CompactionMode::Baseline), 4);
-//! assert_eq!(execution_cycles(mask, DataType::F, CompactionMode::Scc), 2);
+//! let cycles: Vec<u32> = EngineId::CANONICAL
+//!     .iter()
+//!     .map(|&e| execution_cycles(mask, DataType::F, e))
+//!     .collect();
+//! assert_eq!(cycles, [4, 4, 4, 2]); // base, ivb, bcc, scc
 //! ```
 
 #![warn(missing_docs)]

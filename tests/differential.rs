@@ -3,7 +3,7 @@
 //! timing optimization), and their cycle counts must respect the mode
 //! ordering.
 
-use intra_warp_compaction::compaction::CompactionMode;
+use intra_warp_compaction::compaction::EngineId;
 use intra_warp_compaction::isa::{
     CondOp, DataType, FlagReg, KernelBuilder, MemSpace, Opcode, Operand, Predicate, Program,
 };
@@ -211,7 +211,7 @@ proptest! {
     fn random_kernels_mode_invariant(steps in prop::collection::vec(arb_step(), 1..8)) {
         let program = build_kernel(&steps);
         let mut reference: Option<(Vec<u32>, u64)> = None;
-        for mode in CompactionMode::ALL {
+        for mode in EngineId::CANONICAL {
             let mut img = MemoryImage::new(1 << 16);
             let out = img.alloc(128 * 4);
             let launch = Launch::new(program.clone(), 128, 64).with_args(&[out]);

@@ -2,7 +2,7 @@
 //! executed by `iwc-sim`, accounted by `iwc-compaction`, and traced through
 //! `iwc-trace` must tell one consistent story.
 
-use intra_warp_compaction::compaction::CompactionMode;
+use intra_warp_compaction::compaction::EngineId;
 use intra_warp_compaction::sim::GpuConfig;
 use intra_warp_compaction::trace::{analyze, Trace};
 use intra_warp_compaction::workloads::{coherent, micro, raytrace, rodinia, Built};
@@ -23,7 +23,7 @@ fn sample_workloads() -> Vec<Built> {
 #[test]
 fn results_correct_under_every_mode() {
     for built in sample_workloads() {
-        for mode in CompactionMode::ALL {
+        for mode in EngineId::CANONICAL {
             let cfg = GpuConfig::paper_default().with_compaction(mode);
             built
                 .run_checked(&cfg)
@@ -45,9 +45,9 @@ fn cycles_monotone_in_mode_strength() {
                 .0
                 .cycles
         };
-        let base = run(CompactionMode::Baseline);
-        let bcc = run(CompactionMode::Bcc);
-        let scc = run(CompactionMode::Scc);
+        let base = run(EngineId::BASELINE);
+        let bcc = run(EngineId::BCC);
+        let scc = run(EngineId::SCC);
         assert!(bcc <= base, "{}: bcc {bcc} > baseline {base}", built.name);
         // Allow 2% scheduling noise for SCC vs BCC on nearly-coherent loads.
         assert!(
@@ -88,7 +88,7 @@ fn skipped_control(result: &intra_warp_compaction::sim::SimResult) -> u64 {
 #[test]
 fn coherent_kernels_unaffected() {
     for built in [coherent::vecadd(1), coherent::mersenne(1)] {
-        let cycles: Vec<u64> = CompactionMode::ALL
+        let cycles: Vec<u64> = EngineId::CANONICAL
             .iter()
             .map(|&m| {
                 built
@@ -111,7 +111,7 @@ fn coherent_kernels_unaffected() {
 #[test]
 fn memory_stream_identical_across_modes() {
     let built = raytrace::ambient_occlusion(raytrace::SceneKind::Wm, 16, 1);
-    let stats: Vec<_> = CompactionMode::ALL
+    let stats: Vec<_> = EngineId::CANONICAL
         .iter()
         .map(|&m| {
             let (r, _) = built
@@ -128,7 +128,7 @@ fn memory_stream_identical_across_modes() {
 #[test]
 fn eu_cycle_accounting_mode_invariant() {
     let built = rodinia::eigenvalue(1);
-    let tallies: Vec<_> = CompactionMode::ALL
+    let tallies: Vec<_> = EngineId::CANONICAL
         .iter()
         .map(|&m| {
             built

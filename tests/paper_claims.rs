@@ -3,7 +3,7 @@
 //! crossovers fall — not absolute-number matches (our substrate is a
 //! simulator, not the authors' testbed).
 
-use intra_warp_compaction::compaction::{waves, CompactionMode};
+use intra_warp_compaction::compaction::{waves, EngineId};
 use intra_warp_compaction::isa::ExecMask;
 use intra_warp_compaction::sim::GpuConfig;
 use intra_warp_compaction::trace::{analyze, corpus};
@@ -16,7 +16,7 @@ fn scc_subsumes_bcc_for_every_mask() {
     for bits in 0..=0xFFFFu32 {
         let m = ExecMask::new(bits, 16);
         assert!(
-            waves(m, CompactionMode::Scc) <= waves(m, CompactionMode::Bcc),
+            waves(m, EngineId::SCC) <= waves(m, EngineId::BCC),
             "{bits:#x}"
         );
     }
@@ -33,11 +33,11 @@ fn divergent_average_reduction_matches_paper_band() {
         }
         let built = (entry.build)(1);
         let (r, _) = built.run(&GpuConfig::paper_default()).expect("runs");
-        reductions.push(r.compute_tally().reduction_vs_ivb(CompactionMode::Scc));
+        reductions.push(r.compute_tally().reduction_vs_ivb(EngineId::SCC));
     }
     for profile in corpus() {
         let report = analyze(&profile.generate(20_000));
-        reductions.push(report.reduction(CompactionMode::Scc));
+        reductions.push(report.reduction(EngineId::SCC));
     }
     let avg = reductions.iter().sum::<f64>() / reductions.len() as f64;
     let max = reductions.iter().cloned().fold(0.0f64, f64::max);
@@ -96,9 +96,9 @@ fn bfs_is_memory_bound() {
     let built = intra_warp_compaction::workloads::rodinia::bfs(1);
     let (base, _) = built.run(&GpuConfig::paper_default()).expect("runs");
     let (scc, _) = built
-        .run(&GpuConfig::paper_default().with_compaction(CompactionMode::Scc))
+        .run(&GpuConfig::paper_default().with_compaction(EngineId::SCC))
         .expect("runs");
-    let eu_gain = base.compute_tally().reduction_vs_ivb(CompactionMode::Scc);
+    let eu_gain = base.compute_tally().reduction_vs_ivb(EngineId::SCC);
     let time_gain = 1.0 - scc.cycles as f64 / base.cycles as f64;
     assert!(eu_gain > 0.3, "BFS EU gain {eu_gain:.3}");
     assert!(
