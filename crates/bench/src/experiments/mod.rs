@@ -256,7 +256,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "simbench",
         category: Category::Benches,
-        about: "Decoded vs reference interpreter throughput (BENCH_sim.json)",
+        about: "Simulator throughput over the workload corpus (BENCH_sim.json)",
         harness: None,
         run: simbench::run,
     },

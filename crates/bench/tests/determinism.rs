@@ -7,8 +7,12 @@
 //! goes to stderr and the results directory only, so stdout is a pure
 //! function of the workload suite. Each run gets its own scratch working
 //! directory, so the default `results/` directory lands there and never in
-//! the source tree.
+//! the source tree. A report the run writes must publish the same
+//! telemetry names as the checked-in `results/bench_<name>.json`, so the
+//! checked-in reports never advertise metrics the simulator no longer
+//! publishes (or miss ones it does).
 
+use iwc_telemetry::json::{self, Json};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -38,20 +42,45 @@ fn iwc_stdout(name: &str, cwd: &Path, knobs: &[(&str, &str)]) -> String {
     String::from_utf8(out.stdout).expect("stdout is UTF-8")
 }
 
-/// Asserts `iwc <name>` reproduces `results/<name>.txt` byte for byte.
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
+/// The telemetry metric names of a bench report (`counters/…`,
+/// `gauges/…`, `histograms/…`), values ignored.
+fn telemetry_names(report: &str) -> Vec<String> {
+    let doc = json::parse(report).expect("bench report parses");
+    let mut names = Vec::new();
+    for kind in ["counters", "gauges", "histograms"] {
+        if let Some(Json::Obj(metrics)) = doc.get("telemetry").and_then(|t| t.get(kind)) {
+            names.extend(metrics.keys().map(|m| format!("{kind}/{m}")));
+        }
+    }
+    names
+}
+
+/// Asserts `iwc <name>` reproduces `results/<name>.txt` byte for byte, and
+/// that any bench report it writes names the same telemetry as the
+/// checked-in one.
 fn assert_matches_golden(name: &str) {
-    let golden = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../results")
-        .join(format!("{name}.txt"));
-    let want = std::fs::read_to_string(&golden)
-        .unwrap_or_else(|e| panic!("read {}: {e}", golden.display()));
+    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let want = read(&results.join(format!("{name}.txt")));
     let dir = scratch_dir(name);
     let got = iwc_stdout(name, &dir, &[]);
+    let report = format!("bench_{name}.json");
+    let written = std::fs::read_to_string(dir.join("results").join(&report)).ok();
     let _ = std::fs::remove_dir_all(&dir);
     assert!(
         got == want,
         "`iwc {name}` stdout differs from results/{name}.txt\n--- got ---\n{got}"
     );
+    if let Some(written) = written {
+        assert_eq!(
+            telemetry_names(&written),
+            telemetry_names(&read(&results.join(&report))),
+            "results/{report} names other telemetry than `iwc {name}` publishes"
+        );
+    }
 }
 
 /// One golden test per experiment. The `slow` ones take seconds in

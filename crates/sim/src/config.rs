@@ -61,46 +61,6 @@ pub enum RfTiming {
     Pumped,
 }
 
-/// Which functional interpreter executes instructions.
-///
-/// Both backends are architecturally identical — the differential test in
-/// `crates/sim/tests/decoded_equivalence.rs` proves byte-identical
-/// [`SimResult`](crate::SimResult)s over the whole workload catalog — so
-/// this knob only trades simulator wall-clock speed against auditability.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ExecBackend {
-    /// Resolve from the `IWC_EXEC` environment variable (`"reference"`
-    /// selects the reference interpreter; anything else, or unset, selects
-    /// the decoded plans). Read once per process.
-    #[default]
-    Auto,
-    /// Decode-once micro-op plans with raw-byte lane loops
-    /// ([`crate::plan`]): the fast path.
-    Decoded,
-    /// The original instruction-at-a-time interpreter
-    /// ([`crate::exec::reference`]): the semantic oracle.
-    Reference,
-}
-
-impl ExecBackend {
-    /// Resolves `Auto` against the `IWC_EXEC` environment variable
-    /// (cached after the first read; explicit variants are returned
-    /// unchanged).
-    pub fn resolve(self) -> ExecBackend {
-        use std::sync::OnceLock;
-        static FROM_ENV: OnceLock<ExecBackend> = OnceLock::new();
-        match self {
-            ExecBackend::Auto => {
-                *FROM_ENV.get_or_init(|| match std::env::var("IWC_EXEC").as_deref() {
-                    Ok("reference") => ExecBackend::Reference,
-                    _ => ExecBackend::Decoded,
-                })
-            }
-            explicit => explicit,
-        }
-    }
-}
-
 /// Full GPU configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct GpuConfig {
@@ -139,9 +99,6 @@ pub struct GpuConfig {
     /// cost) are accumulated in [`EuStats`](crate::EuStats). Off by
     /// default: the hot issue path then takes a single predictable branch.
     pub profile_insns: bool,
-    /// Functional interpreter selection (timing-neutral; see
-    /// [`ExecBackend`]).
-    pub exec: ExecBackend,
     /// FPU pipeline depth (issue-to-writeback latency beyond occupancy).
     pub fpu_latency: u32,
     /// Extended-math pipeline depth.
@@ -167,7 +124,6 @@ impl GpuConfig {
             capture_masks: false,
             record_issue_log: false,
             profile_insns: false,
-            exec: ExecBackend::Auto,
             // Issue-to-writeback depth beyond pipe occupancy. Gen EUs forward
             // results between dependent ALU ops, so the effective latency seen
             // by the scoreboard is short.
@@ -242,12 +198,6 @@ impl GpuConfig {
     /// Paper default with a different register-file timing option.
     pub fn with_rf_timing(mut self, timing: RfTiming) -> Self {
         self.rf_timing = timing;
-        self
-    }
-
-    /// Paper default with an explicit functional-interpreter backend.
-    pub fn with_exec(mut self, exec: ExecBackend) -> Self {
-        self.exec = exec;
         self
     }
 

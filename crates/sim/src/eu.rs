@@ -9,18 +9,13 @@
 //! the memory subsystem reports completion.
 
 use crate::config::GpuConfig;
-use crate::exec::{exec_mask_of, execute_instruction, Effect, ThreadCtx};
+use crate::exec::ThreadCtx;
 use crate::memimg::MemoryImage;
 use crate::memsys::MemSystem;
-use crate::plan::{
-    execute_plan, grf_operand_count, reg_range, DecodedProgram, LaneScratch, MicroPlan, PlanEffect,
-};
+use crate::plan::{execute_plan, DecodedProgram, LaneScratch, MicroPlan, PlanEffect};
 use iwc_compaction::{CompactionEngine, CompactionTally};
-use iwc_isa::insn::{MemSpace, Opcode, Pipe};
+use iwc_isa::insn::{MemSpace, Pipe};
 use iwc_isa::mask::ExecMask;
-use iwc_isa::program::Program;
-use iwc_isa::reg::GRF_BYTES;
-use iwc_isa::types::DataType;
 use iwc_telemetry::Instrument;
 use serde::{Deserialize, Serialize};
 
@@ -110,50 +105,10 @@ impl HwThread {
         }
     }
 
-    /// Earliest time the scoreboard allows `insn` to issue, and whether the
-    /// binding (latest) dependence is a memory load still in flight.
-    fn deps_ready_at(&self, insn: &iwc_isa::Instruction) -> (u64, bool) {
-        let mut at = 0u64;
-        let mut from_mem = false;
-        let width = insn.exec_width;
-        let mut consider = |op: &iwc_isa::Operand| {
-            if let Some((lo, hi)) = op.grf_byte_range(width) {
-                for r in lo / GRF_BYTES..=(hi - 1) / GRF_BYTES {
-                    let busy = self.reg_busy[r as usize];
-                    let mem = self.reg_from_mem >> r & 1 == 1;
-                    if busy > at {
-                        at = busy;
-                        from_mem = mem;
-                    } else if busy == at {
-                        from_mem |= mem && busy > 0;
-                    }
-                }
-            }
-        };
-        for op in insn.read_operands() {
-            consider(&op);
-        }
-        consider(&insn.dst);
-        if let Some(p) = insn.pred {
-            let busy = self.flag_busy[p.flag.index() as usize];
-            if busy > at {
-                at = busy;
-                from_mem = false;
-            }
-        }
-        if let Some(cm) = insn.cond_mod {
-            let busy = self.flag_busy[cm.flag.index() as usize];
-            if busy > at {
-                at = busy;
-                from_mem = false;
-            }
-        }
-        (at, from_mem)
-    }
-
-    /// [`deps_ready_at`](Self::deps_ready_at) over a decoded plan's
-    /// precomputed register ranges — no operand re-derivation, no
-    /// allocation.
+    /// Earliest time the scoreboard allows `plan` to issue, and whether the
+    /// binding (latest) dependence is a memory load still in flight. Reads
+    /// the plan's precomputed register ranges — no operand re-derivation,
+    /// no allocation.
     fn deps_ready_at_plan(&self, plan: &MicroPlan) -> (u64, bool) {
         let mut at = 0u64;
         let mut from_mem = false;
@@ -450,24 +405,6 @@ pub struct ArbResult {
     pub blocked: Option<StallCause>,
 }
 
-/// Where issued instructions come from: decoded plans (the production
-/// backend) or the raw program through the reference interpreter.
-#[derive(Clone, Copy)]
-enum Code<'a> {
-    Plans(&'a DecodedProgram),
-    Reference(&'a Program),
-}
-
-/// The timing-relevant facts of one instruction, from its plan or (on the
-/// reference backend) straight from the instruction.
-struct IssueMeta {
-    dtype: DataType,
-    pipe: Pipe,
-    dst: Option<(u8, u8)>,
-    cond_flag: Option<u8>,
-    n_grf_operands: u64,
-}
-
 /// Packed issue state of an EU's slots, one structure-of-arrays over the
 /// slots. It holds everything an arbitration pass reads about a thread
 /// between two of its issues, so a pass never touches [`HwThread`] state
@@ -673,16 +610,17 @@ fn record_issue_event(
     now: u64,
     pc: usize,
     mask: ExecMask,
-    meta: &IssueMeta,
+    plan: &MicroPlan,
     effect: PlanEffect,
 ) {
     if cfg.profile_insns {
         let compute = matches!(effect, PlanEffect::Compute(_));
-        stats.insn_profile.record(pc, mask, meta.dtype, compute);
+        stats.insn_profile.record(pc, mask, plan.dtype(), compute);
     }
     if cfg.record_issue_log {
-        let waves = if meta.pipe == Pipe::Fpu || meta.pipe == Pipe::Em {
-            engine.cycles(mask, meta.dtype)
+        let pipe = plan.pipe();
+        let waves = if pipe == Pipe::Fpu || pipe == Pipe::Em {
+            engine.cycles(mask, plan.dtype())
         } else {
             0
         };
@@ -690,7 +628,7 @@ fn record_issue_event(
             cycle: now,
             eu,
             thread,
-            pipe: meta.pipe,
+            pipe,
             waves,
         });
     }
@@ -768,54 +706,28 @@ fn note_skip(stats: &mut EuStats, cfg: &GpuConfig, pc: usize, guard: &mut usize,
 /// zero-mask ALU/send instructions for free (jump-over), then records the
 /// scoreboard-ready time and its cause, target pipe, and `eot` drain time
 /// in the packed state.
-#[allow(clippy::too_many_arguments)]
 fn prepare(
     t: &mut HwThread,
     i: usize,
     st: &mut SlotState,
     stats: &mut EuStats,
     cfg: &GpuConfig,
-    code: Code<'_>,
-    img: &mut MemoryImage,
-    slm: &mut MemoryImage,
+    plans: &DecodedProgram,
 ) {
     let mut guard = 0usize;
-    let ((ready, from_mem), pipe, eot) = match code {
-        Code::Plans(plans) => {
-            let plan = loop {
-                let plan = plans.plan(t.ctx.pc);
-                if !(plan.is_data() && plan.exec_mask(&t.ctx).is_empty()) {
-                    break plan;
-                }
-                note_skip(stats, cfg, t.ctx.pc, &mut guard, plans.len());
-                t.ctx.pc += 1;
-            };
-            (t.deps_ready_at_plan(plan), plan.pipe(), plan.is_eot())
+    let plan = loop {
+        let plan = plans.plan(t.ctx.pc);
+        if !plan.is_skipped(&t.ctx) {
+            break plan;
         }
-        Code::Reference(program) => {
-            let insn = loop {
-                let insn = &program.insns()[t.ctx.pc];
-                if insn.op.pipe() == Pipe::Control
-                    || insn.op == Opcode::Eot
-                    || !exec_mask_of(&t.ctx, insn).is_empty()
-                {
-                    break insn;
-                }
-                let skip_pc = t.ctx.pc;
-                let e = execute_instruction(&mut t.ctx, program, img, slm);
-                debug_assert_eq!(e.effect, Effect::SkippedZeroMask);
-                note_skip(stats, cfg, skip_pc, &mut guard, program.len());
-            };
-            (
-                t.deps_ready_at(insn),
-                insn.op.pipe(),
-                insn.op == Opcode::Eot,
-            )
-        }
+        note_skip(stats, cfg, t.ctx.pc, &mut guard, plans.len());
+        t.ctx.pc += 1;
     };
+    let (ready, from_mem) = t.deps_ready_at_plan(plan);
+    let pipe = plan.pipe();
     set_bit(&mut st.fpu, i, pipe == Pipe::Fpu);
     set_bit(&mut st.em, i, pipe == Pipe::Em);
-    set_bit(&mut st.eot, i, eot);
+    set_bit(&mut st.eot, i, plan.is_eot());
     set_bit(&mut st.sb_mem, i, from_mem);
     st.set(Word::SbReady, i, ready);
     st.set(Word::Drain, i, t.last_mem_done);
@@ -897,11 +809,7 @@ impl Eu {
     /// target pipe, or an `eot` memory drain; every blocked thread visited
     /// counts one legacy `stall_events/*` event. The first ready thread in
     /// rotation order issues. Threads of workgroups that retire are pushed
-    /// onto `finished`.
-    ///
-    /// When `plans` is provided (the decoded backend), issue runs through
-    /// [`MicroPlan`]s; otherwise the reference interpreter executes
-    /// `program`. Both make identical timing decisions.
+    /// onto `finished`. Issue runs the launch's decoded [`MicroPlan`]s.
     ///
     /// An EU whose last pass issued nothing replays that verdict in O(1)
     /// until its soonest blocked thread is ready.
@@ -912,8 +820,7 @@ impl Eu {
         now: u64,
         cfg: &GpuConfig,
         engine: &dyn CompactionEngine,
-        program: &Program,
-        plans: Option<&DecodedProgram>,
+        plans: &DecodedProgram,
         mem: &mut MemSystem,
         img: &mut MemoryImage,
         slms: &mut [MemoryImage],
@@ -934,7 +841,6 @@ impl Eu {
             now,
             cfg,
             engine,
-            program,
             plans,
             mem,
             img,
@@ -952,24 +858,18 @@ impl Eu {
         now: u64,
         cfg: &GpuConfig,
         engine: &dyn CompactionEngine,
-        program: &Program,
-        plans: Option<&DecodedProgram>,
+        plans: &DecodedProgram,
         mem: &mut MemSystem,
         img: &mut MemoryImage,
         slms: &mut [MemoryImage],
         barrier_arrivals: &mut Vec<usize>,
         finished: &mut Vec<usize>,
     ) -> ArbResult {
-        let code = match plans {
-            Some(p) => Code::Plans(p),
-            None => Code::Reference(program),
-        };
         while self.st.unprepared != 0 {
             let i = self.st.unprepared.trailing_zeros() as usize;
             self.st.unprepared &= !(1 << i);
             let t = self.slots[i].as_mut().expect("placed thread");
-            let slm = &mut slms[t.slm_slot];
-            prepare(t, i, &mut self.st, &mut self.stats, cfg, code, img, slm);
+            prepare(t, i, &mut self.st, &mut self.stats, cfg, plans);
         }
 
         // Fixed waits: a fence/fetch release, then the scoreboard. Judged
@@ -1031,7 +931,7 @@ impl Eu {
                 now,
                 cfg,
                 engine,
-                code,
+                plans,
                 mem,
                 img,
                 slms,
@@ -1134,7 +1034,7 @@ impl Eu {
         now: u64,
         cfg: &GpuConfig,
         engine: &dyn CompactionEngine,
-        code: Code<'_>,
+        plans: &DecodedProgram,
         mem: &mut MemSystem,
         img: &mut MemoryImage,
         slms: &mut [MemoryImage],
@@ -1156,63 +1056,23 @@ impl Eu {
         let t = slots[i].as_mut().expect("thread present");
         let slm = &mut slms[t.slm_slot];
         let pc = st.get(Word::Pc, i) as usize;
-        let (effect, mask, meta) = match code {
-            Code::Plans(plans) => {
-                let plan = plans.plan(pc);
-                let mask = plan.exec_mask(&t.ctx);
-                let effect = execute_plan(&mut t.ctx, plan, mask, img, slm, scratch);
-                let meta = IssueMeta {
-                    dtype: plan.dtype(),
-                    pipe: plan.pipe(),
-                    dst: plan.dst_range(),
-                    cond_flag: plan.cond_flag(),
-                    n_grf_operands: plan.n_grf_operands(),
-                };
-                (effect, mask, meta)
-            }
-            Code::Reference(program) => {
-                let insn = &program.insns()[pc];
-                let meta = IssueMeta {
-                    dtype: insn.dtype,
-                    pipe: insn.op.pipe(),
-                    dst: reg_range(&insn.dst, insn.exec_width),
-                    cond_flag: insn.cond_mod.map(|cm| cm.flag.index()),
-                    n_grf_operands: grf_operand_count(insn),
-                };
-                let executed = execute_instruction(&mut t.ctx, program, img, slm);
-                let effect = match executed.effect {
-                    Effect::Compute { pipe } => PlanEffect::Compute(pipe),
-                    Effect::Memory {
-                        space,
-                        is_store,
-                        lane_addrs,
-                    } => {
-                        scratch.fill(&lane_addrs);
-                        PlanEffect::Memory { space, is_store }
-                    }
-                    Effect::Fence => PlanEffect::Fence,
-                    Effect::Barrier => PlanEffect::Barrier,
-                    Effect::Eot => PlanEffect::Eot,
-                    Effect::ControlFlow => PlanEffect::ControlFlow,
-                    Effect::SkippedZeroMask => unreachable!("skips happen at pre-evaluation"),
-                };
-                (effect, executed.mask, meta)
-            }
-        };
+        let plan = plans.plan(pc);
+        let mask = plan.exec_mask(&t.ctx);
+        let effect = execute_plan(&mut t.ctx, plan, mask, img, slm, scratch);
         stats.issued += 1;
         if cfg.profile_insns || cfg.record_issue_log || cfg.capture_masks {
             record_issue_event(
-                stats, cfg, engine, *id, i as u8, now, pc, mask, &meta, effect,
+                stats, cfg, engine, *id, i as u8, now, pc, mask, plan, effect,
             );
         }
 
         match effect {
             PlanEffect::Compute(pipe) => {
-                let mut waves = u64::from(engine.cycles(mask, meta.dtype));
+                let mut waves = u64::from(engine.cycles(mask, plan.dtype()));
                 if cfg.rf_timing == crate::config::RfTiming::MultiCycle {
                     // A single-ported file serializes one register-half
                     // access per operand ahead of execution (§4.3 option 1).
-                    waves += meta.n_grf_operands;
+                    waves += plan.n_grf_operands();
                 }
                 let (pipe_free, depth) = match pipe {
                     Pipe::Fpu => (&mut *fpu_free, cfg.fpu_latency),
@@ -1221,8 +1081,8 @@ impl Eu {
                 };
                 *pipe_free = now + waves;
                 let writeback = now + waves + u64::from(depth);
-                t.mark_range(meta.dst, writeback, false);
-                if let Some(f) = meta.cond_flag {
+                t.mark_range(plan.dst_range(), writeback, false);
+                if let Some(f) = plan.cond_flag() {
                     t.flag_busy[usize::from(f)] = writeback;
                 }
                 match pipe {
@@ -1230,13 +1090,13 @@ impl Eu {
                     Pipe::Em => stats.em_waves += waves,
                     _ => {}
                 }
-                let d = tally_memo.delta(mask, meta.dtype);
+                let d = tally_memo.delta(mask, plan.dtype());
                 stats.compute_tally.add_delta(&d);
                 stats.simd_tally.add_delta(&d);
             }
             PlanEffect::Memory { space, is_store } => {
                 stats.sends += 1;
-                let d = tally_memo.delta(mask, meta.dtype);
+                let d = tally_memo.delta(mask, plan.dtype());
                 stats.simd_tally.add_delta(&d);
                 let done = match space {
                     MemSpace::Global => {
@@ -1248,7 +1108,7 @@ impl Eu {
                 };
                 t.last_mem_done = t.last_mem_done.max(done);
                 if !is_store {
-                    t.mark_range(meta.dst, done, true);
+                    t.mark_range(plan.dst_range(), done, true);
                 }
             }
             PlanEffect::Fence => {
@@ -1267,6 +1127,6 @@ impl Eu {
             }
             PlanEffect::ControlFlow => {}
         }
-        prepare(t, i, st, stats, cfg, code, img, slm);
+        prepare(t, i, st, stats, cfg, plans);
     }
 }

@@ -1,31 +1,24 @@
-//! Functional execution of one instruction for one EU thread.
+//! Architectural thread state and the test-only reference interpreter.
 //!
 //! The functional layer is decoupled from timing: when the issue logic
-//! decides an instruction issues, execution applies its full architectural
-//! effect immediately (register/flag/memory updates, SIMT stack
-//! transitions, PC update) and reports what the timing layer needs: the
-//! final execution mask and an [`Effect`] describing the resource the
-//! instruction occupies.
+//! decides an instruction issues, its decoded plan
+//! ([`crate::plan`]) applies the full architectural effect at once
+//! (register/flag/memory updates, SIMT stack transitions, PC update) and
+//! reports what the timing layer needs: the resource the instruction
+//! occupies. [`ThreadCtx`] is the state it works on.
 //!
-//! Two interchangeable interpreters implement this contract:
-//!
-//! * [`mod@reference`] — the original, straightforward interpreter that
-//!   re-inspects the [`Instruction`] on every issue and routes lane
-//!   values through the widened [`iwc_isa::Scalar`] enum. It is the
-//!   semantic ground truth.
-//! * [`crate::plan`] — the decode-once fast path: each static instruction
-//!   is lowered to a flat micro-plan with resolved byte offsets and a
-//!   dtype-specialized eval function, and the lane loop runs on raw GRF
-//!   bytes. `crates/sim/tests/decoded_equivalence.rs` proves the two
-//!   produce byte-identical results over the whole workload catalog.
+//! Under `cfg(test)` this module also holds the original
+//! straight-from-the-ISA interpreter (`reference`) and a lockstep oracle
+//! (`oracle`) that steps every plan against it, instruction by
+//! instruction, over the workload catalog and directed kernels.
 
-pub mod reference;
-
-pub use reference::execute_instruction;
+#[cfg(test)]
+mod oracle;
+#[cfg(test)]
+pub(crate) mod reference;
 
 use crate::regfile::RegFile;
 use crate::simt::SimtStack;
-use iwc_isa::insn::{Instruction, MemSpace, Opcode, Pipe};
 use iwc_isa::mask::ExecMask;
 use iwc_isa::reg::Predicate;
 
@@ -52,102 +45,42 @@ impl ThreadCtx {
     }
 }
 
-/// The resource effect of one executed instruction.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Effect {
-    /// An FPU or EM computation over the mask.
-    Compute {
-        /// Pipe occupied.
-        pipe: Pipe,
-    },
-    /// A global or SLM memory message.
-    Memory {
-        /// Target space.
-        space: MemSpace,
-        /// True for stores.
-        is_store: bool,
-        /// Byte addresses of the active channels.
-        lane_addrs: Vec<u32>,
-    },
-    /// A memory fence: the thread must wait for its outstanding accesses.
-    Fence,
-    /// A workgroup barrier.
-    Barrier,
-    /// End of thread.
-    Eot,
-    /// Control flow resolved at issue (if/else/endif/do/while/break/…/nop).
-    ControlFlow,
-    /// The instruction's execution mask was all-zero; it was skipped with no
-    /// pipeline cost (jump-over-disabled-code).
-    SkippedZeroMask,
-}
-
-/// Outcome of executing one instruction.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Executed {
-    /// Final execution mask the instruction ran under.
-    pub mask: ExecMask,
-    /// Resource effect for the timing layer.
-    pub effect: Effect,
-}
-
 pub(crate) fn pred_bits(ctx: &ThreadCtx, pred: Predicate) -> ExecMask {
     let flag = ctx.regs.flag(pred.flag);
     ctx.simt.pred_mask(pred, flag)
 }
 
-/// Computes the execution mask of `insn` in the current context: the SIMT
-/// mask ANDed with the instruction predicate (if any). `sel` is special: its
-/// predicate *selects* operands instead of gating channels.
-pub fn exec_mask_of(ctx: &ThreadCtx, insn: &Instruction) -> ExecMask {
-    let base = ctx.simt.exec();
-    match insn.pred {
-        Some(p) if insn.op != Opcode::Sel && !insn.op.is_branch() => base.and(pred_bits(ctx, p)),
-        _ => base,
-    }
-}
-
-pub(crate) fn ctl(mask: ExecMask) -> Executed {
-    Executed {
-        mask,
-        effect: Effect::ControlFlow,
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::oracle::lockstep;
+    use super::reference::{Effect, Executed};
     use super::*;
+    use crate::gpu::Launch;
     use crate::memimg::MemoryImage;
     use iwc_isa::builder::KernelBuilder;
-    use iwc_isa::insn::CondOp;
+    use iwc_isa::insn::{CondOp, MemSpace};
     use iwc_isa::program::Program;
     use iwc_isa::reg::{FlagReg, Operand};
     use iwc_isa::Scalar;
 
-    fn run_to_completion(
-        program: &Program,
-        ctx: &mut ThreadCtx,
-        mem: &mut MemoryImage,
-        slm: &mut MemoryImage,
-    ) -> Vec<Executed> {
+    /// Runs `p` as one SIMD16 thread (`r1` holds the lane's global id) from
+    /// `mem` through the lockstep oracle, with `seed` applied to its
+    /// registers after dispatch. Returns the final thread, the global image
+    /// and the reference interpreter's effects.
+    fn run(
+        p: Program,
+        mem: &MemoryImage,
+        seed: impl Fn(&mut ThreadCtx),
+    ) -> (ThreadCtx, MemoryImage, Vec<Executed>) {
+        let launch = Launch::new(p, 16, 16).with_slm(1 << 12);
         let mut log = Vec::new();
-        for _step in 0..10_000 {
-            let e = execute_instruction(ctx, program, mem, slm);
-            let eot = e.effect == Effect::Eot;
-            log.push(e);
-            if eot {
-                return log;
-            }
-        }
-        panic!("kernel did not terminate");
+        let mut out = lockstep(&launch, mem, seed, |e| log.push(e.clone()));
+        let ctx = out.threads.pop().expect("one thread");
+        (ctx, out.mem, log)
     }
 
-    fn fresh() -> (ThreadCtx, MemoryImage, MemoryImage) {
-        (
-            ThreadCtx::new(ExecMask::all(16)),
-            MemoryImage::new(1 << 16),
-            MemoryImage::new(1 << 12),
-        )
+    fn fresh() -> MemoryImage {
+        MemoryImage::new(1 << 16)
     }
 
     #[test]
@@ -160,9 +93,7 @@ mod tests {
             Operand::rf(4),
             Operand::imm_f(1.0),
         );
-        let p = b.finish().unwrap();
-        let (mut ctx, mut mem, mut slm) = fresh();
-        run_to_completion(&p, &mut ctx, &mut mem, &mut slm);
+        let (ctx, ..) = run(b.finish().unwrap(), &fresh(), |_| {});
         for lane in 0..16 {
             assert_eq!(ctx.regs.read_lane(&Operand::rf(6), lane), Scalar::F(10.0));
         }
@@ -178,13 +109,7 @@ mod tests {
         b.else_();
         b.mov(Operand::rf(6), Operand::imm_f(2.0));
         b.end_if();
-        let p = b.finish().unwrap();
-        let (mut ctx, mut mem, mut slm) = fresh();
-        for lane in 0..16 {
-            ctx.regs
-                .write_lane(&Operand::rud(1), lane, Scalar::U(u64::from(lane)));
-        }
-        run_to_completion(&p, &mut ctx, &mut mem, &mut slm);
+        let (ctx, ..) = run(b.finish().unwrap(), &fresh(), |_| {});
         for lane in 0..16 {
             let want = if lane < 8 { 1.0 } else { 2.0 };
             assert_eq!(
@@ -207,13 +132,12 @@ mod tests {
         b.add(Operand::rd(4), Operand::rd(4), Operand::imm_d(-1));
         b.cmp(CondOp::Gt, FlagReg::F0, Operand::rd(4), Operand::imm_d(0));
         b.while_(Predicate::normal(FlagReg::F0));
-        let p = b.finish().unwrap();
-        let (mut ctx, mut mem, mut slm) = fresh();
-        for lane in 0..16 {
-            ctx.regs
-                .write_lane(&Operand::rd(4), lane, Scalar::I(i64::from(lane) + 1));
-        }
-        run_to_completion(&p, &mut ctx, &mut mem, &mut slm);
+        let (ctx, ..) = run(b.finish().unwrap(), &fresh(), |ctx| {
+            for lane in 0..16 {
+                ctx.regs
+                    .write_lane(&Operand::rd(4), lane, Scalar::I(i64::from(lane) + 1));
+            }
+        });
         for lane in 0..16 {
             assert_eq!(
                 ctx.regs.read_lane(&Operand::rd(6), lane),
@@ -230,22 +154,24 @@ mod tests {
         b.load(MemSpace::Global, Operand::rf(6), Operand::rud(4));
         b.mul(Operand::rf(6), Operand::rf(6), Operand::imm_f(2.0));
         b.store(MemSpace::Global, Operand::rud(8), Operand::rf(6));
-        let p = b.finish().unwrap();
-        let (mut ctx, mut mem, mut slm) = fresh();
+        let mut mem = fresh();
         for lane in 0..16u32 {
             mem.write_f32(1024 + 4 * lane, lane as f32);
-            ctx.regs.write_lane(
-                &Operand::rud(4),
-                lane,
-                Scalar::U(u64::from(1024 + 4 * (15 - lane))),
-            );
-            ctx.regs.write_lane(
-                &Operand::rud(8),
-                lane,
-                Scalar::U(u64::from(2048 + 4 * lane)),
-            );
         }
-        let log = run_to_completion(&p, &mut ctx, &mut mem, &mut slm);
+        let (_, mem, log) = run(b.finish().unwrap(), &mem, |ctx| {
+            for lane in 0..16u32 {
+                ctx.regs.write_lane(
+                    &Operand::rud(4),
+                    lane,
+                    Scalar::U(u64::from(1024 + 4 * (15 - lane))),
+                );
+                ctx.regs.write_lane(
+                    &Operand::rud(8),
+                    lane,
+                    Scalar::U(u64::from(2048 + 4 * lane)),
+                );
+            }
+        });
         for lane in 0..16u32 {
             assert_eq!(
                 mem.read_f32(2048 + 4 * lane),
@@ -272,16 +198,13 @@ mod tests {
         b.cmp(CondOp::Lt, FlagReg::F0, Operand::rud(1), Operand::imm_ud(4));
         b.pred(Predicate::normal(FlagReg::F0));
         b.store(MemSpace::Global, Operand::rud(4), Operand::rf(6));
-        let p = b.finish().unwrap();
-        let (mut ctx, mut mem, mut slm) = fresh();
-        for lane in 0..16u32 {
-            ctx.regs
-                .write_lane(&Operand::rud(1), lane, Scalar::U(u64::from(lane)));
-            ctx.regs
-                .write_lane(&Operand::rud(4), lane, Scalar::U(u64::from(512 + 4 * lane)));
-            ctx.regs.write_lane(&Operand::rf(6), lane, Scalar::F(7.0));
-        }
-        run_to_completion(&p, &mut ctx, &mut mem, &mut slm);
+        let (_, mem, _) = run(b.finish().unwrap(), &fresh(), |ctx| {
+            for lane in 0..16u32 {
+                ctx.regs
+                    .write_lane(&Operand::rud(4), lane, Scalar::U(u64::from(512 + 4 * lane)));
+                ctx.regs.write_lane(&Operand::rf(6), lane, Scalar::F(7.0));
+            }
+        });
         for lane in 0..16u32 {
             let want = if lane < 4 { 7.0 } else { 0.0 };
             assert_eq!(mem.read_f32(512 + 4 * lane), want, "lane {lane}");
@@ -293,15 +216,14 @@ mod tests {
         let mut b = KernelBuilder::new("k", 16);
         b.store(MemSpace::Slm, Operand::rud(4), Operand::rf(6));
         b.load(MemSpace::Slm, Operand::rf(8), Operand::rud(4));
-        let p = b.finish().unwrap();
-        let (mut ctx, mut mem, mut slm) = fresh();
-        for lane in 0..16u32 {
-            ctx.regs
-                .write_lane(&Operand::rud(4), lane, Scalar::U(u64::from(4 * lane)));
-            ctx.regs
-                .write_lane(&Operand::rf(6), lane, Scalar::F(f64::from(lane) * 1.5));
-        }
-        run_to_completion(&p, &mut ctx, &mut mem, &mut slm);
+        let (ctx, ..) = run(b.finish().unwrap(), &fresh(), |ctx| {
+            for lane in 0..16u32 {
+                ctx.regs
+                    .write_lane(&Operand::rud(4), lane, Scalar::U(u64::from(4 * lane)));
+                ctx.regs
+                    .write_lane(&Operand::rf(6), lane, Scalar::F(f64::from(lane) * 1.5));
+            }
+        });
         for lane in 0..16 {
             assert_eq!(
                 ctx.regs.read_lane(&Operand::rf(8), lane),
@@ -320,13 +242,7 @@ mod tests {
             Operand::imm_f(1.0),
             Operand::imm_f(-1.0),
         );
-        let p = b.finish().unwrap();
-        let (mut ctx, mut mem, mut slm) = fresh();
-        for lane in 0..16 {
-            ctx.regs
-                .write_lane(&Operand::rud(1), lane, Scalar::U(u64::from(lane)));
-        }
-        run_to_completion(&p, &mut ctx, &mut mem, &mut slm);
+        let (ctx, ..) = run(b.finish().unwrap(), &fresh(), |_| {});
         for lane in 0..16 {
             let want = if lane < 8 { 1.0 } else { -1.0 };
             assert_eq!(
@@ -341,18 +257,20 @@ mod tests {
     fn zero_mask_region_is_skipped() {
         let mut b = KernelBuilder::new("k", 16);
         b.cmp(CondOp::Lt, FlagReg::F0, Operand::rud(1), Operand::imm_ud(0)); // never true
+        b.pred(Predicate::normal(FlagReg::F0));
+        b.mov(Operand::rf(8), Operand::imm_f(99.0));
         b.if_(Predicate::normal(FlagReg::F0));
         b.mov(Operand::rf(6), Operand::imm_f(99.0));
         b.end_if();
-        let p = b.finish().unwrap();
-        let (mut ctx, mut mem, mut slm) = fresh();
-        let log = run_to_completion(&p, &mut ctx, &mut mem, &mut slm);
+        let (ctx, _, log) = run(b.finish().unwrap(), &fresh(), |_| {});
         assert_eq!(
             ctx.regs.read_lane(&Operand::rf(6), 0),
             Scalar::F(0.0),
             "if side skipped"
         );
-        // The if jumped straight to endif: the mov never appears in the log.
-        assert_eq!(log.len(), 4, "cmp, if(jump), endif, eot");
+        // The predicated mov is skipped in place; the if jumped straight to
+        // endif, so the mov inside never appears in the log.
+        assert_eq!(log[1].effect, Effect::SkippedZeroMask, "predicated mov");
+        assert_eq!(log.len(), 5, "cmp, skipped mov, if(jump), endif, eot");
     }
 }

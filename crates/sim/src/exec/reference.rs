@@ -1,19 +1,76 @@
 //! The reference interpreter: semantic ground truth for instruction
-//! execution.
+//! execution, compiled for tests only.
 //!
 //! This is the original straight-from-the-ISA interpreter. It re-inspects
-//! the [`Instruction`](iwc_isa::insn::Instruction) on every issue and routes every lane value through
+//! the [`Instruction`] on every issue and routes every lane value through
 //! the widened [`Scalar`](iwc_isa::Scalar) enum, which makes it easy to
-//! audit against the ISA definition but slow. The decode-once plan layer
-//! ([`crate::plan`]) is the production path; this interpreter remains the
-//! oracle the differential tests compare against, and stays selectable at
-//! runtime via `GpuConfig::exec` / the `IWC_EXEC=reference` escape hatch.
+//! audit against the ISA definition but slow. The simulator runs the
+//! decode-once plans of [`crate::plan`]; this interpreter is the oracle
+//! the lockstep test ([`super::oracle`]) steps them against.
 
-use super::{ctl, exec_mask_of, pred_bits, Effect, Executed, ThreadCtx};
+use super::{pred_bits, ThreadCtx};
 use crate::memimg::MemoryImage;
 use iwc_isa::eval::{eval_alu, eval_cond};
-use iwc_isa::insn::{MemSpace, Opcode, Pipe, SendMessage};
+use iwc_isa::insn::{Instruction, MemSpace, Opcode, Pipe, SendMessage};
+use iwc_isa::mask::ExecMask;
 use iwc_isa::program::Program;
+
+/// The resource effect of one executed instruction.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Effect {
+    /// An FPU or EM computation over the mask.
+    Compute {
+        /// Pipe occupied.
+        pipe: Pipe,
+    },
+    /// A global or SLM memory message.
+    Memory {
+        /// Target space.
+        space: MemSpace,
+        /// True for stores.
+        is_store: bool,
+        /// Byte addresses of the active channels.
+        lane_addrs: Vec<u32>,
+    },
+    /// A memory fence: the thread must wait for its outstanding accesses.
+    Fence,
+    /// A workgroup barrier.
+    Barrier,
+    /// End of thread.
+    Eot,
+    /// Control flow resolved at issue (if/else/endif/do/while/break/…/nop).
+    ControlFlow,
+    /// The instruction's execution mask was all-zero; it was skipped with no
+    /// pipeline cost (jump-over-disabled-code).
+    SkippedZeroMask,
+}
+
+/// Outcome of executing one instruction.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Executed {
+    /// Final execution mask the instruction ran under.
+    pub mask: ExecMask,
+    /// Resource effect for the timing layer.
+    pub effect: Effect,
+}
+
+/// Computes the execution mask of `insn` in the current context: the SIMT
+/// mask ANDed with the instruction predicate (if any). `sel` is special: its
+/// predicate *selects* operands instead of gating channels.
+pub fn exec_mask_of(ctx: &ThreadCtx, insn: &Instruction) -> ExecMask {
+    let base = ctx.simt.exec();
+    match insn.pred {
+        Some(p) if insn.op != Opcode::Sel && !insn.op.is_branch() => base.and(pred_bits(ctx, p)),
+        _ => base,
+    }
+}
+
+fn ctl(mask: ExecMask) -> Executed {
+    Executed {
+        mask,
+        effect: Effect::ControlFlow,
+    }
+}
 
 /// Executes `insn` functionally, updating the thread context, global memory
 /// and (for SLM messages) the workgroup's SLM image.

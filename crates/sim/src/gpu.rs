@@ -1,6 +1,6 @@
 //! Multi-EU GPU: workgroup dispatch, barriers, and the simulation loop.
 
-use crate::config::{ExecBackend, GpuConfig};
+use crate::config::GpuConfig;
 use crate::eu::{Eu, EuStats, HwThread, StallCause, StallSpan};
 use crate::exec::ThreadCtx;
 use crate::memimg::MemoryImage;
@@ -230,11 +230,8 @@ impl Gpu {
     /// Like [`Gpu::run`], but reuses a program already lowered with
     /// [`DecodedProgram::decode`] instead of decoding inside the launch —
     /// the serve path's cache-friendly entry point (decode once, run the
-    /// same kernel many times across sessions and engine sweeps).
-    ///
-    /// Under [`ExecBackend::Reference`] the pre-decoded plans are unused
-    /// (that backend interprets the raw [`Program`]); results are identical
-    /// either way, which the serve integration tests enforce.
+    /// same kernel many times across sessions and engine sweeps). Results
+    /// are identical to [`Gpu::run`], which decodes the same plans locally.
     ///
     /// # Errors
     ///
@@ -381,19 +378,15 @@ fn run_launch_inner(
     // Resolve the compaction engine once per launch; the per-cycle issue
     // path sees only the trait object, never the registry.
     let engine = cfg.compaction.engine();
-    // Resolve the execution backend once per launch and pre-decode the
-    // program into micro-op plans for the fast interpreter — unless the
-    // caller already holds the plans (the serve path's session cache).
-    let decoded_local: Option<DecodedProgram>;
-    let decoded: Option<&DecodedProgram> = match cfg.exec.resolve() {
-        ExecBackend::Reference => None,
-        _ => match predecoded {
-            Some(d) => Some(d),
-            None => {
-                decoded_local = Some(DecodedProgram::decode(&launch.program));
-                decoded_local.as_ref()
-            }
-        },
+    // Decode the program into micro-op plans once per launch, unless the
+    // caller already holds them (the serve path's session cache).
+    let decoded_local: DecodedProgram;
+    let decoded = match predecoded {
+        Some(d) => d,
+        None => {
+            decoded_local = DecodedProgram::decode(&launch.program);
+            &decoded_local
+        }
     };
 
     let mut eus: Vec<Eu> = (0..cfg.eus)
@@ -453,7 +446,6 @@ fn run_launch_inner(
                 now,
                 cfg,
                 engine,
-                &launch.program,
                 decoded,
                 mem,
                 img,
@@ -600,7 +592,13 @@ pub fn arg_base_reg(simd_width: u32) -> u8 {
 /// Builds the architectural state of one dispatched thread, including the
 /// r0 header, per-channel global ids starting at r1, and kernel arguments
 /// at [`arg_base_reg`] (see the crate docs for the dispatch ABI).
-fn make_thread(launch: &Launch, simd: u32, wg: usize, wg_thread: u32, slm_slot: usize) -> HwThread {
+pub(crate) fn make_thread(
+    launch: &Launch,
+    simd: u32,
+    wg: usize,
+    wg_thread: u32,
+    slm_slot: usize,
+) -> HwThread {
     // Dispatch mask: channels beyond the workgroup or global size are off.
     let mut mask = ExecMask::none(simd);
     for ch in 0..simd {

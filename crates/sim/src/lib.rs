@@ -15,9 +15,10 @@
 //!   reached through a bandwidth-limited data cluster (DC1/DC2) ([`memsys`]);
 //! * workgroup dispatch with barrier support ([`gpu`]).
 //!
-//! The functional model ([`exec`]) executes the full ISA, so kernel results
-//! are bit-exact regardless of the timing configuration — compaction is a
-//! pure timing optimization, which the integration tests assert.
+//! The functional model (the decoded micro-op plans of [`plan`] over the
+//! thread state of [`exec`]) executes the full ISA, so kernel results are
+//! bit-exact regardless of the timing configuration — compaction is a pure
+//! timing optimization, which the integration tests assert.
 //!
 //! # Dispatch ABI
 //!
@@ -69,11 +70,11 @@ pub mod regfile;
 pub mod simt;
 pub mod timeline;
 
-pub use config::{CacheConfig, ExecBackend, GpuConfig, MemConfig, RfTiming};
+pub use config::{CacheConfig, GpuConfig, MemConfig, RfTiming};
 pub use eu::{
     Eu, EuStats, HwThread, IssueEvent, StallBreakdown, StallCause, StallSpan, StallStats,
 };
-pub use exec::{execute_instruction, Effect, Executed, ThreadCtx};
+pub use exec::ThreadCtx;
 pub use gpu::{arg_base_reg, simulate, simulate_decoded, Gpu, Launch, SimResult, SimulateError};
 pub use memimg::MemoryImage;
 pub use memsys::{MemStats, MemSystem};

@@ -1,4 +1,4 @@
-//! Decode-once execution plans: the fast functional interpreter.
+//! Decode-once execution plans: the simulator's functional interpreter.
 //!
 //! [`DecodedProgram`] lowers every static
 //! [`Instruction`] of a validated
@@ -19,13 +19,12 @@
 //!   pipe, EOT) used by zero-mask skipping and pipe arbitration.
 //!
 //! Operand shapes outside the specialized fast paths (mixed dtypes,
-//! scalar destinations, sub-32-bit types, memory data
-//! movement) fall back to the exact [`read_lane`/`write_lane`/`eval_alu`]
-//! sequence of the reference interpreter, so the two backends are
-//! bit-identical by construction; `crates/sim/tests/decoded_equivalence.rs`
-//! proves it over the whole workload catalog × every canonical engine.
-//!
-//! [`read_lane`/`write_lane`/`eval_alu`]: crate::exec::reference
+//! scalar destinations, sub-32-bit types, memory data movement) fall back
+//! to the plain per-lane `read_lane`/`eval_alu`/`write_lane` sequence over
+//! the widened [`Scalar`]. The test-only lockstep oracle (`exec::oracle`)
+//! steps every plan against the straight-from-the-ISA reference
+//! interpreter over the whole workload catalog and checks that the two
+//! agree after every instruction.
 
 use crate::exec::{pred_bits, ThreadCtx};
 use crate::memimg::MemoryImage;
@@ -274,12 +273,6 @@ impl LaneScratch {
         self.len = 0;
     }
 
-    /// Replaces the captured lane addresses with `addrs`.
-    pub(crate) fn fill(&mut self, addrs: &[u32]) {
-        self.addrs[..addrs.len()].copy_from_slice(addrs);
-        self.len = addrs.len() as u8;
-    }
-
     #[inline]
     fn push(&mut self, a: u32) {
         self.addrs[usize::from(self.len)] = a;
@@ -364,9 +357,12 @@ impl MicroPlan {
         self.dtype
     }
 
-    /// True for ALU/send instructions (zero-mask skippable).
-    pub(crate) fn is_data(&self) -> bool {
-        self.is_data
+    /// True when the issue stage skips this plan for free in `ctx`: an
+    /// ALU/send instruction whose execution mask is all-zero
+    /// (jump-over-disabled-code).
+    #[inline]
+    pub(crate) fn is_skipped(&self, ctx: &ThreadCtx) -> bool {
+        self.is_data && self.exec_mask(ctx).is_empty()
     }
 
     /// True for `eot`.
@@ -397,8 +393,8 @@ impl MicroPlan {
     }
 
     /// The execution mask this plan would run under right now: the SIMT
-    /// mask ANDed with the gating predicate (mirrors
-    /// [`exec_mask_of`](crate::exec::exec_mask_of)).
+    /// mask ANDed with the gating predicate. `sel` is special: its
+    /// predicate *selects* operands instead of gating channels.
     #[inline]
     pub(crate) fn exec_mask(&self, ctx: &ThreadCtx) -> ExecMask {
         let base = ctx.simt.exec();
@@ -1105,8 +1101,9 @@ sel_driver!(sel_span_u, u64, fill_u, |r: u64| r as u32);
 /// Executes the plan at `ctx.pc` under the precomputed execution `mask`
 /// (which must equal [`MicroPlan::exec_mask`] for the current context and
 /// must be non-empty for data plans — zero-mask skipping happens before
-/// issue). Mirrors [`execute_instruction`](crate::exec::reference) exactly;
-/// send lane addresses land in `scratch` instead of a fresh vector.
+/// issue, see [`MicroPlan::is_skipped`]): applies the instruction's full
+/// architectural effect and reports the resource it occupies. Send lane
+/// addresses land in `scratch`.
 pub(crate) fn execute_plan(
     ctx: &mut ThreadCtx,
     plan: &MicroPlan,
@@ -1353,132 +1350,19 @@ pub(crate) fn execute_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute_instruction, Effect};
     use iwc_isa::builder::KernelBuilder;
-    use iwc_isa::insn::CondOp;
-    use iwc_isa::reg::FlagReg;
-
-    /// Steps the same program through both interpreters from identical
-    /// fresh states and asserts every register lane and both memories
-    /// match after completion.
-    fn assert_backends_agree(p: &Program, seed: impl Fn(&mut ThreadCtx)) {
-        let decoded = DecodedProgram::decode(p);
-        let mut scratch = LaneScratch::new();
-        let width = p.simd_width();
-        let mut rctx = ThreadCtx::new(ExecMask::all(width));
-        let mut dctx = ThreadCtx::new(ExecMask::all(width));
-        seed(&mut rctx);
-        seed(&mut dctx);
-        let (mut rmem, mut rslm) = (MemoryImage::new(1 << 16), MemoryImage::new(1 << 12));
-        let (mut dmem, mut dslm) = (MemoryImage::new(1 << 16), MemoryImage::new(1 << 12));
-        for _ in 0..10_000 {
-            let re = execute_instruction(&mut rctx, p, &mut rmem, &mut rslm);
-            // The decoded issue path skips zero-mask data plans before
-            // execution; emulate that here.
-            let plan = decoded.plan(dctx.pc);
-            let mask = plan.exec_mask(&dctx);
-            if plan.is_data() && mask.is_empty() && !plan.is_eot() {
-                dctx.pc += 1;
-                assert_eq!(re.effect, Effect::SkippedZeroMask);
-                continue;
-            }
-            let de = execute_plan(&mut dctx, plan, mask, &mut dmem, &mut dslm, &mut scratch);
-            assert_eq!(re.mask, mask, "masks diverged");
-            if let Effect::Memory { lane_addrs, .. } = &re.effect {
-                assert_eq!(lane_addrs.as_slice(), scratch.addrs(), "lane addresses");
-            }
-            if de == PlanEffect::Eot {
-                break;
-            }
-        }
-        assert_eq!(rctx.pc, dctx.pc, "final pc");
-        for reg in 0..16u8 {
-            let op = Operand::rud(reg);
-            for lane in 0..width {
-                assert_eq!(
-                    rctx.regs.read_lane(&op, lane),
-                    dctx.regs.read_lane(&op, lane),
-                    "r{reg} lane {lane}"
-                );
-            }
-        }
-        for f in [FlagReg::F0, FlagReg::F1] {
-            assert_eq!(rctx.regs.flag(f), dctx.regs.flag(f), "flag {f:?}");
-        }
-        for a in (0..1 << 16).step_by(4) {
-            assert_eq!(rmem.read_u32(a), dmem.read_u32(a), "mem at {a}");
-        }
-    }
 
     #[test]
-    fn fast_paths_match_reference_float() {
-        let mut b = KernelBuilder::new("k", 16);
-        b.mov(Operand::rf(4), Operand::imm_f(1.5));
-        b.mad(
-            Operand::rf(6),
-            Operand::rf(4),
-            Operand::rf(4),
-            Operand::imm_f(0.25),
-        );
-        b.mul(
-            Operand::rf(8),
-            Operand::rf(6),
-            Operand::scalar(4, 3, DataType::F),
-        );
-        let p = b.finish().unwrap();
-        assert_backends_agree(&p, |_| {});
-    }
-
-    #[test]
-    fn fast_paths_match_reference_int_and_divergence() {
-        let mut b = KernelBuilder::new("k", 16);
-        b.cmp(CondOp::Lt, FlagReg::F0, Operand::rud(1), Operand::imm_ud(9));
-        b.if_(Predicate::normal(FlagReg::F0));
-        b.add(Operand::rd(4), Operand::rd(4), Operand::imm_d(-3));
-        b.else_();
-        b.mul(Operand::rud(6), Operand::rud(1), Operand::imm_ud(7));
-        b.end_if();
-        let p = b.finish().unwrap();
-        assert_backends_agree(&p, |ctx| {
-            for lane in 0..16 {
-                ctx.regs
-                    .write_lane(&Operand::rud(1), lane, Scalar::U(u64::from(lane)));
-                ctx.regs
-                    .write_lane(&Operand::rd(4), lane, Scalar::I(i64::from(lane) * 5 - 17));
-            }
-        });
-    }
-
-    #[test]
-    fn generic_fallback_dtype_matches_reference() {
-        // W (16-bit signed) has no fast path: exercises the generic lane
-        // loop including sign-extension on read and narrowing on write.
+    fn mixed_and_narrow_dtypes_fall_back() {
+        // dst F but src D, and W (16-bit) throughout: no fast path.
         let w = |reg| Operand::reg(reg, DataType::W);
-        let mut b = KernelBuilder::new("k", 16);
-        b.op(Opcode::Add, w(4), &[w(4), w(6)]);
-        let p = b.finish().unwrap();
-        let decoded = DecodedProgram::decode(&p);
-        assert!(
-            matches!(decoded.plan(0).kind, PlanKind::AluGeneric { .. }),
-            "W stays generic"
-        );
-        assert_backends_agree(&p, |ctx| {
-            for lane in 0..16 {
-                ctx.regs
-                    .write_lane(&w(4), lane, Scalar::I(i64::from(lane) * 1000 - 30000));
-                ctx.regs.write_lane(&w(6), lane, Scalar::I(-5000));
-            }
-        });
-    }
-
-    #[test]
-    fn mixed_dtype_operands_fall_back() {
-        // dst F but src D: no fast path.
         let mut b = KernelBuilder::new("k", 8);
         b.op(Opcode::Mov, Operand::rf(4), &[Operand::rd(6)]);
+        b.op(Opcode::Add, w(8), &[w(8), w(10)]);
         let p = b.finish().unwrap();
         let decoded = DecodedProgram::decode(&p);
         assert!(matches!(decoded.plan(0).kind, PlanKind::AluGeneric { .. }));
+        assert!(matches!(decoded.plan(1).kind, PlanKind::AluGeneric { .. }));
     }
 
     #[test]
@@ -1519,59 +1403,5 @@ mod tests {
         assert!(matches!(d.plan(0).kind, PlanKind::AluF { .. }));
         assert!(matches!(d.plan(1).kind, PlanKind::AluF { .. }));
         assert!(matches!(d.plan(2).kind, PlanKind::AluVec { .. }));
-    }
-
-    #[test]
-    fn aliasing_spans_match_reference() {
-        // The fallback cases above, executed against the reference
-        // interpreter — including under divergence so masked blending of
-        // the vectorized third instruction is exercised.
-        let mut b = KernelBuilder::new("k", 16);
-        b.cmp(
-            CondOp::Lt,
-            FlagReg::F0,
-            Operand::rud(1),
-            Operand::imm_ud(11),
-        );
-        b.if_(Predicate::normal(FlagReg::F0));
-        b.add(Operand::rf(4), Operand::rf(3), Operand::imm_f(1.0));
-        b.mul(
-            Operand::rf(8),
-            Operand::rf(6),
-            Operand::scalar(8, 1, DataType::F),
-        );
-        b.add(Operand::rf(10), Operand::rf(11), Operand::imm_f(0.5));
-        b.end_if();
-        let p = b.finish().unwrap();
-        assert_backends_agree(&p, |ctx| {
-            for lane in 0..16 {
-                ctx.regs
-                    .write_lane(&Operand::rud(1), lane, Scalar::U(u64::from(lane)));
-                for reg in [3u8, 4, 6, 8, 10, 11] {
-                    let v = f64::from(lane) * 0.75 + f64::from(reg);
-                    ctx.regs.write_lane(&Operand::rf(reg), lane, Scalar::F(v));
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn loads_and_stores_capture_addresses_in_scratch() {
-        let mut b = KernelBuilder::new("k", 16);
-        b.mad(
-            Operand::rud(4),
-            Operand::rud(1),
-            Operand::imm_ud(4),
-            Operand::imm_ud(1024),
-        );
-        b.store(MemSpace::Global, Operand::rud(4), Operand::rud(1));
-        b.load(MemSpace::Global, Operand::rud(6), Operand::rud(4));
-        let p = b.finish().unwrap();
-        assert_backends_agree(&p, |ctx| {
-            for lane in 0..16 {
-                ctx.regs
-                    .write_lane(&Operand::rud(1), lane, Scalar::U(u64::from(lane)));
-            }
-        });
     }
 }
